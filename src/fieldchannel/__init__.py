@@ -25,13 +25,11 @@ from .observables import (
     check_conditions,
     commutator_constant,
     gamma_rule_lambda_pi,
-    gaussian_W_closed_form,
     momentum_amplitude,
     overlap_W,
     wick_expectation,
 )
 from .propagation import (
-    PropagationResult,
     bob_profile_2d_fb1,
     bob_profiles_2d_numeric,
     bob_profiles_3d,
@@ -52,12 +50,10 @@ from .smearing import (
     GaussianShellProfile,
     GaussianSpectrum,
     RadialProfile,
-    SampledProfile,
     SmoothStep,
     SpectralProfile,
     WindowedProfile,
     adaptive_quadrature,
-    bessel_j0,
     fourier_radial,
     gaussian_profile,
     inverse_fourier_radial,

@@ -29,8 +29,8 @@ base observables, so one 4x4 overlap matrix per configuration feeds all
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .observables import (
     FieldObservableSpec,
     check_conditions,
     gamma_rule_lambda_pi,
-    gaussian_overlap_moments,
+    gaussian_w_matrix,
     momentum_amplitude,
 )
 from .propagation import bob_profiles_3d, bob_spectra
@@ -72,6 +72,14 @@ SIGN_NAMES = ("z1", "x1", "x2", "z2", "z3", "x3", "x4", "z4")
 # configuration
 # ---------------------------------------------------------------------------
 
+def _require_finite(spec) -> None:
+    """Reject nan and +-inf in any float field; None stays allowed."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BadParameter(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BobSpec:
     """Receiver geometry: full lightcone coverage, a truncated ball/shell
@@ -82,6 +90,7 @@ class BobSpec:
     eps: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.variant not in BOB_VARIANTS:
             raise BadParameter(f"variant must be one of {BOB_VARIANTS}, got {self.variant!r}")
         if self.variant.startswith("truncated") and (self.r0 <= 0 or self.eps <= 0):
@@ -103,15 +112,13 @@ class ChannelConfig:
     d: int = 3
     delta: float = 10.0
     bob: BobSpec = field(default_factory=BobSpec)
-    rel_tol: float = 1e-10
     k_max: float | None = None
     # deterministic composite Gauss-Legendre grids for the truncated path
-    k_panel: float | None = None
     k_nodes: int = 16
-    r_panel: float | None = None
     r_nodes: int = 32
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sigma <= 0:
             raise BadParameter("sigma must be positive")
         if self.delta < 0:
@@ -151,7 +158,6 @@ class ExponentTemplate:
     slot_base: tuple
     sign_names: tuple
     base_amplitudes: list      # [phi_A, pi_A, X_B, Z_B] as SpectralAmplitude
-    base_labels: tuple = ("phi_A", "pi_A", "X_B", "Z_B")
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +206,13 @@ def _v_base_closed_form(config: ChannelConfig) -> np.ndarray:
     """4x4 base-observable overlap matrix when the receiver observables are
     exactly phi_A and pi_A (full lightcone coverage), from the Gaussian
     closed forms. rank1/none variants zero the dropped receiver rows."""
-    lpi = config.resolved_lambda_pi
-    a, b, gamma = gaussian_overlap_moments(config.sigma, config.lambda_phi, lpi, config.d)
-    kind = (0, 1, 1, 0)  # phi-like or pi-like per base observable
-    v = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if kind[i] == 0 and kind[j] == 0:
-                v[i, j] = a
-            elif kind[i] == 1 and kind[j] == 1:
-                v[i, j] = b
-            elif kind[i] == 0:
-                v[i, j] = 0.5j * gamma
-            else:
-                v[i, j] = -0.5j * gamma
-    if config.bob.variant == "rank1":
-        v[BASE_X_B, :] = 0.0
-        v[:, BASE_X_B] = 0.0
-    elif config.bob.variant == "none":
-        for base in (BASE_X_B, BASE_Z_B):
-            v[base, :] = 0.0
-            v[:, base] = 0.0
+    # base observables [phi_A, pi_A, X_B, Z_B] are pi-like (x) or phi-like (z)
+    v = gaussian_w_matrix((0, 1, 1, 0), (1, 0, 0, 1), config.sigma,
+                          config.lambda_phi, config.resolved_lambda_pi, config.d)
+    dropped = {"rank1": (BASE_X_B,), "none": (BASE_X_B, BASE_Z_B)}
+    for base in dropped.get(config.bob.variant, ()):
+        v[base, :] = 0.0
+        v[:, base] = 0.0
     return v
 
 
@@ -240,8 +232,7 @@ def _windowed_spectra(config: ChannelConfig, k_values: np.ndarray) -> np.ndarray
     is confirmed by node-doubling tests and against the adaptive route.
     """
     sigma, delta = config.sigma, config.delta
-    r_panel = config.r_panel if config.r_panel is not None \
-        else min(sigma / 4.0, 1.5 * config.r_nodes / config.resolved_k_max)
+    r_panel = min(sigma / 4.0, 1.5 * config.r_nodes / config.resolved_k_max)
     rg, rw = gauss_legendre_panels(max(0.0, delta - 9.0 * sigma),
                                    delta + 9.0 * sigma, r_panel, config.r_nodes)
     profiles = _truncated_bob_profiles(config)
@@ -265,8 +256,7 @@ def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
     lphi, lpi = config.lambda_phi, config.resolved_lambda_pi
     k_max = config.resolved_k_max
     r_hi = delta + 9.0 * sigma
-    k_panel = config.k_panel if config.k_panel is not None \
-        else min(0.5 / sigma, 1.5 * config.k_nodes / r_hi)
+    k_panel = min(0.5 / sigma, 1.5 * config.k_nodes / r_hi)
     kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, config.k_nodes)
     f1w, f2w, f3w = _windowed_spectra(config, kg).T
 
@@ -373,35 +363,18 @@ def coherent_info_of(config: ChannelConfig) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _capacity_point(args) -> tuple:
-    lam, template = args
-    cfg = replace(template, lambda_phi=lam, lambda_pi=None)
-    ic = coherent_info_of(cfg)
-    return (lam / cfg.sigma, ic, max(0.0, ic))
-
-
-def _broadcast_point(args) -> tuple:
-    r0, template = args
-    inner = replace(template, bob=replace(template.bob, variant="truncated_inner", r0=r0))
-    outer = replace(template, bob=replace(template.bob, variant="truncated_outer", r0=r0))
-    return (r0, coherent_info_of(inner), coherent_info_of(outer))
-
-
-def _run_points(worker, points, jobs: int):
-    if jobs <= 1 or len(points) <= 1:
-        return [worker(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, points))
-
-
-def capacity_sweep(lambda_grid, config: ChannelConfig, jobs: int = 1):
+def capacity_sweep(lambda_grid, config: ChannelConfig):
     """Rows (lambda_phi / sigma, I_c, max(0, I_c)) with the gamma rule applied
     at every coupling. The full-receiver path is entirely closed-form."""
-    points = [(float(lam), config) for lam in lambda_grid]
-    return _run_points(_capacity_point, points, jobs)
+    rows = []
+    for lam in lambda_grid:
+        cfg = replace(config, lambda_phi=float(lam), lambda_pi=None)
+        ic = coherent_info_of(cfg)
+        rows.append((cfg.lambda_phi / cfg.sigma, ic, max(0.0, ic)))
+    return rows
 
 
-def broadcast_sweep(r0_grid, config: ChannelConfig, jobs: int = 1):
+def broadcast_sweep(r0_grid, config: ChannelConfig):
     """Rows (r0, I_c to the inner receiver, I_c to the outer receiver).
 
     The two receivers are the complementary truncations of the full
@@ -409,5 +382,10 @@ def broadcast_sweep(r0_grid, config: ChannelConfig, jobs: int = 1):
     """
     if config.bob.eps <= 0:
         raise BadParameter("broadcast sweep needs a positive window width eps")
-    points = [(float(r0), config) for r0 in r0_grid]
-    return _run_points(_broadcast_point, points, jobs)
+    rows = []
+    for r0 in r0_grid:
+        r0 = float(r0)
+        inner = replace(config, bob=replace(config.bob, variant="truncated_inner", r0=r0))
+        outer = replace(config, bob=replace(config.bob, variant="truncated_outer", r0=r0))
+        rows.append((r0, coherent_info_of(inner), coherent_info_of(outer)))
+    return rows

@@ -12,7 +12,6 @@ failure, 2 bad flags, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -77,16 +76,17 @@ def write_plot_script(path: str, csv_path: str, command: str, logx: bool = False
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output CSV path")
+def _add_io(p: argparse.ArgumentParser, out_help: str, plot_script: bool = True) -> None:
+    p.add_argument("--out", default=None, help=out_help)
     p.add_argument("--config", default=None, help="key=value config file; flags override")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for sweep points")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
-    p.add_argument("--kmax", type=float, default=None, help="k-space cutoff override (units 1/sigma)")
-    p.add_argument("--eps", type=float, default=0.1, help="truncation window roll-off width")
-    p.add_argument("--delta", type=float, default=10.0, help="time of flight t_B - t_A (units sigma)")
-    p.add_argument("--plot-script", default=None, help="also emit a matplotlib script here")
+    if plot_script:
+        p.add_argument("--plot-script", default=None,
+                       help="also emit a matplotlib script here")
+
+
+def _add_delta(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", type=float, default=10.0,
+                   help="time of flight t_B - t_A (units sigma)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -96,20 +96,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cap = sub.add_parser("capacity", help="coherent information vs coupling strength")
-    _add_shared(p_cap)
+    _add_io(p_cap, "output CSV path")
     p_cap.add_argument("--lambda-min", type=float, default=0.1)
     p_cap.add_argument("--lambda-max", type=float, default=1000.0)
     p_cap.add_argument("--points", type=int, default=30)
 
     p_sm = sub.add_parser("smearings", help="receiver smearing profiles vs radius")
-    _add_shared(p_sm)
+    _add_io(p_sm, "output CSV path")
+    _add_delta(p_sm)
+    p_sm.add_argument("--rel-tol", type=float, default=1e-10,
+                      help="quadrature relative tolerance (d = 2)")
     p_sm.add_argument("--dimension", type=int, choices=(2, 3), default=3)
     p_sm.add_argument("--points", type=int, default=401)
     p_sm.add_argument("--normalize", action="store_true",
                       help="scale each profile to unit peak magnitude")
 
     p_bc = sub.add_parser("broadcast", help="two truncated receivers vs split radius r0")
-    _add_shared(p_bc)
+    _add_io(p_bc, "output CSV path")
+    _add_delta(p_bc)
+    p_bc.add_argument("--eps", type=float, default=0.1, help="truncation window roll-off width")
+    p_bc.add_argument("--kmax", type=float, default=None,
+                      help="k-space cutoff override (units 1/sigma)")
     p_bc.add_argument("--lambda-phi", default="both",
                       help="coupling lambda_phi/sigma: a number, or 'both' for 10 and 1000")
     p_bc.add_argument("--r0-min", type=float, default=2.0)
@@ -117,7 +124,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bc.add_argument("--r0-points", type=int, default=17)
 
     p_vf = sub.add_parser("verify", help="run every invariant suite")
-    _add_shared(p_vf)
+    _add_io(p_vf, "also write the report here", plot_script=False)
     p_vf.add_argument("--mutate-w-sign", action="store_true",
                       help="test fixture: inject a W sign flip (BCH suite must fail)")
     return parser, {"capacity": p_cap, "smearings": p_sm, "broadcast": p_bc,
@@ -165,9 +172,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, sub_map: dict,
 def run_capacity(args) -> int:
     out = args.out or "capacity.csv"
     grid = np.logspace(np.log10(args.lambda_min), np.log10(args.lambda_max), args.points)
-    cfg = ChannelConfig(lambda_phi=1.0, delta=args.delta, rel_tol=args.rel_tol,
-                        k_max=args.kmax)
-    rows = capacity_sweep(grid, cfg, jobs=args.jobs)
+    rows = capacity_sweep(grid, ChannelConfig(lambda_phi=1.0))
     write_csv(out, ["lambda_phi_over_sigma", "ic", "ic_clamped"], rows)
     if args.plot_script:
         write_plot_script(args.plot_script, out, "capacity", logx=True)
@@ -204,9 +209,9 @@ def run_broadcast(args) -> int:
     grid = np.linspace(args.r0_min, args.r0_max, args.r0_points)
     written = []
     for lam in lams:
-        cfg = ChannelConfig(lambda_phi=lam, delta=args.delta, rel_tol=args.rel_tol,
-                            k_max=args.kmax, bob=BobSpec(eps=args.eps))
-        rows = broadcast_sweep(grid, cfg, jobs=args.jobs)
+        cfg = ChannelConfig(lambda_phi=lam, delta=args.delta, k_max=args.kmax,
+                            bob=BobSpec(eps=args.eps))
+        rows = broadcast_sweep(grid, cfg)
         path = _broadcast_out_path(out, lam) if len(lams) > 1 else out
         write_csv(path, ["r0", "ic_bob1", "ic_bob2"], rows)
         written.append(path)

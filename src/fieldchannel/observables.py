@@ -139,21 +139,6 @@ def overlap_W(l: SpectralAmplitude, m: SpectralAmplitude,
     return complex_quadrature(integrand, 0.0, top, rel_tol, floor)
 
 
-def gaussian_W_closed_form(x_l: int, z_l: int, x_m: int, z_m: int,
-                           sigma: float, lambda_phi: float, lambda_pi: float) -> complex:
-    """Closed-form W_lm for a width-sigma Gaussian smearing in d = 3.
-
-    W_lm = [4 x_l x_m lpi^2 + 2 z_l z_m s^2 lphi^2
-            + i sqrt(2 pi) s lphi lpi (x_m z_l - x_l z_m)] / (8 pi^2 s^4)
-    """
-    if sigma <= 0:
-        raise BadParameter("sigma must be positive")
-    return (4.0 * x_l * x_m * lambda_pi**2
-            + 2.0 * z_l * z_m * sigma**2 * lambda_phi**2
-            + 1j * math.sqrt(2.0 * np.pi) * sigma * lambda_phi * lambda_pi
-            * (x_m * z_l - x_l * z_m)) / (8.0 * np.pi**2 * sigma**4)
-
-
 def _gaussian_moment(n: int, sigma: float) -> float:
     # int_0^inf k^n exp(-k^2 s^2 / 2) dk
     return 2.0 ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0) / sigma ** (n + 1)

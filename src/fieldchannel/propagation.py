@@ -121,25 +121,3 @@ def bob_profiles_2d_numeric(sigma: float, delta: float,
     """
     spectra = bob_spectra(GaussianSpectrum(sigma, 2), delta)
     return tuple(NumericProfile(s, rel_tol) for s in spectra)
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    """Receiver smearing data for one flight time: the spectral triple, the
-    position-space triple, and delta itself."""
-
-    spectra: tuple
-    profiles: tuple
-    delta: float
-
-    @staticmethod
-    def for_gaussian(sigma: float, delta: float, d: int = 3,
-                     rel_tol: float = DEFAULT_REL_TOL) -> "PropagationResult":
-        spectra = bob_spectra(GaussianSpectrum(sigma, d), delta)
-        if d == 3:
-            profiles = bob_profiles_3d(sigma, delta)
-        elif d == 2:
-            profiles = bob_profiles_2d_numeric(sigma, delta, rel_tol)
-        else:
-            raise BadParameter(f"d must be 2 or 3, got {d}")
-        return PropagationResult(spectra, profiles, delta)

@@ -57,15 +57,23 @@ def proj_y(s: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
+def _require_eigenvalue_floor(ev: np.ndarray) -> None:
+    evmin = float(ev.min())
+    if evmin < EIGENVALUE_FLOOR:
+        raise InvalidState(f"smallest eigenvalue {evmin:.3e} below {EIGENVALUE_FLOOR:.0e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix of dimension 2 or 4.
 
     Construction checks Hermiticity (entrywise 1e-9), unit trace (1e-9)
-    and positivity (smallest eigenvalue >= -1e-9).
+    and positivity (smallest eigenvalue >= -1e-9), and keeps the
+    eigenvalues (descending) for the entropy.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -76,16 +84,12 @@ class DensityMatrix:
         m = np.asarray(m, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise DimensionMismatch(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise NotHermitian(f"Hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.0e}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidState(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-        evmin = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if evmin < EIGENVALUE_FLOOR:
-            raise InvalidState(f"smallest eigenvalue {evmin:.3e} below {EIGENVALUE_FLOOR:.0e}")
-        return DensityMatrix(m)
+        ev = hermitian_eigenvalues(m)
+        _require_eigenvalue_floor(ev)
+        return DensityMatrix(m, ev)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -111,11 +115,14 @@ def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho, in bits.
 
     Eigenvalues in [-1e-9, 0] are clamped to zero (quadrature noise);
-    anything below -1e-9 raises InvalidState. 0 log 0 is taken as 0.
+    anything below -1e-9 raises InvalidState. 0 log 0 is taken as 0. A
+    DensityMatrix reuses the eigenvalues of its validation.
     """
-    ev = hermitian_eigenvalues(rho)
-    if ev.min() < EIGENVALUE_FLOOR:
-        raise InvalidState(f"eigenvalue {ev.min():.3e} below {EIGENVALUE_FLOOR:.0e}")
+    if isinstance(rho, DensityMatrix):
+        ev = rho.eigenvalues
+    else:
+        ev = hermitian_eigenvalues(rho)
+        _require_eigenvalue_floor(ev)
     ev = np.clip(ev, 0.0, None)
     pos = ev[ev > 0.0]
     return float(-np.sum(pos * np.log2(pos)))

@@ -12,12 +12,11 @@ dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.integrate
-import scipy.interpolate
 import scipy.special
 
 from .errors import BadParameter, QuadratureFailure
@@ -87,11 +86,6 @@ def gauss_legendre_panels(a: float, b: float, panel_len: float, nodes: int):
     xs = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     ws = (half[:, None] * w0[None, :]).ravel()
     return xs, ws
-
-
-def bessel_j0(x):
-    """Bessel function J0; absolute error at machine level (scipy.special.j0)."""
-    return scipy.special.j0(x)
 
 
 # ---------------------------------------------------------------------------
@@ -261,42 +255,6 @@ class WindowedProfile(RadialProfile):
         return self.base(r) * self.window(r)
 
 
-@dataclass(frozen=True)
-class SampledProfile(RadialProfile):
-    """Profile given on a uniform radial grid, interpolated with a natural cubic spline."""
-
-    r: np.ndarray
-    values: np.ndarray
-    d: int = 3
-    sigma_ref: float = 1.0
-    _spline: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or len(r) < 4:
-            raise BadParameter("need matching 1-d grids with at least 4 points")
-        h = np.diff(r)
-        if not np.allclose(h, h[0], rtol=1e-9):
-            raise BadParameter("grid spacing must be uniform")
-        if h[0] > self.sigma_ref / 50.0 + 1e-15:
-            raise BadParameter(f"grid spacing {h[0]:.3e} coarser than sigma/50")
-        peak = np.max(np.abs(v))
-        if peak > 0.0 and np.abs(v[-1]) >= 1e-12 * peak:
-            raise BadParameter("grid must extend to where the tail is below 1e-12 of peak")
-        spline = scipy.interpolate.CubicSpline(r, v, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
-
-    @property
-    def r_support(self) -> float:
-        return float(self.r[-1])
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = (r >= self.r[0]) & (r <= self.r[-1])
-        return np.where(inside, self._spline(np.clip(r, self.r[0], self.r[-1])), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # spectral profiles (momentum space)
 # ---------------------------------------------------------------------------
@@ -366,27 +324,6 @@ class PropagatedSpectrum(SpectralProfile):
         return self.base(k) * _PROPAGATION_FACTORS[self.kind](k, self.delta)
 
 
-@dataclass(frozen=True)
-class SampledSpectrum(SpectralProfile):
-    k: np.ndarray
-    values: np.ndarray
-    d: int = 3
-    _spline: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        spline = scipy.interpolate.CubicSpline(self.k, self.values, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
-
-    @property
-    def k_max(self) -> float:
-        return float(self.k[-1])
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        inside = (k >= self.k[0]) & (k <= self.k[-1])
-        return np.where(inside, self._spline(np.clip(k, self.k[0], self.k[-1])), 0.0)
-
-
 def _envelope_floor(envelope: Callable, top: float) -> float:
     """Noise floor for oscillatory radial integrals: roundoff accumulated by
     the extrapolated rule scales with the envelope area, not the (possibly
@@ -409,7 +346,7 @@ class NumericSpectrum(SpectralProfile):
 
     @property
     def k_max(self) -> float:
-        windowed = isinstance(self.profile, (WindowedProfile, SampledProfile))
+        windowed = isinstance(self.profile, WindowedProfile)
         return default_k_max(self.profile.sigma_ref, windowed=windowed)
 
     def _eval_one(self, k: float) -> float:

@@ -77,8 +77,8 @@ def test_criterion_4_gaussian_algebra_oracles():
         pi = observables.momentum_amplitude(
             observables.FieldObservableSpec("pi", prof, 0.0, lpi))
         for x_l, z_l, x_m, z_m in itertools.product((1, -1), repeat=4):
-            closed = observables.gaussian_W_closed_form(
-                x_l, z_l, x_m, z_m, sigma, lphi, lpi)
+            closed = observables.gaussian_w_matrix(
+                (x_l, x_m), (z_l, z_m), sigma, lphi, lpi)[0, 1]
             l_amp = phi.scaled(z_l) + pi.scaled(x_l)
             m_amp = phi.scaled(z_m) + pi.scaled(x_m)
             quad = observables.overlap_W(l_amp, m_amp, rel_tol=1e-12)

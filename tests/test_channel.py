@@ -195,12 +195,6 @@ class TestSweeps:
         clamped = [r[2] for r in rows]
         assert np.all(np.diff(clamped) >= -1e-6)
 
-    def test_capacity_parallel_matches_serial(self):
-        grid = [0.5, 5.0, 50.0]
-        cfg = ChannelConfig(lambda_phi=1.0)
-        assert channel.capacity_sweep(grid, cfg, jobs=1) == \
-            channel.capacity_sweep(grid, cfg, jobs=2)
-
     def test_broadcast_extremes(self):
         cfg = ChannelConfig(lambda_phi=1000.0, bob=BobSpec(eps=0.1))
         rows = channel.broadcast_sweep([2.0, 18.0], cfg)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fieldchannel import cli, verify
+from fieldchannel.channel import BobSpec, ChannelConfig
+from fieldchannel.errors import BadParameter
 
 
 def read_csv(path):
@@ -16,7 +18,7 @@ def read_csv(path):
 class TestCapacity:
     def test_default_grid(self, tmp_path):
         out = tmp_path / "capacity.csv"
-        assert cli.main(["capacity", "--out", str(out), "--jobs", "1"]) == 0
+        assert cli.main(["capacity", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["lambda_phi_over_sigma", "ic", "ic_clamped"]
         assert len(rows) == 30
@@ -24,14 +26,13 @@ class TestCapacity:
 
     def test_weak_coupling_all_clamped(self, tmp_path):
         out = tmp_path / "weak.csv"
-        assert cli.main(["capacity", "--out", str(out), "--lambda-max", "0.5",
-                         "--jobs", "1"]) == 0
+        assert cli.main(["capacity", "--out", str(out), "--lambda-max", "0.5"]) == 0
         _, rows = read_csv(out)
         assert all(r[2] == 0.0 for r in rows)
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["capacity", "--points", "8", "--jobs", "1"]
+        args = ["capacity", "--points", "8"]
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -40,7 +41,7 @@ class TestCapacity:
         out = tmp_path / "cap.csv"
         script = tmp_path / "plot_cap.py"
         assert cli.main(["capacity", "--points", "4", "--out", str(out),
-                         "--plot-script", str(script), "--jobs", "1"]) == 0
+                         "--plot-script", str(script)]) == 0
         text = script.read_text(encoding="utf-8")
         assert "matplotlib" in text and str(out) in text
         compile(text, str(script), "exec")  # emitted script must parse
@@ -87,8 +88,7 @@ class TestBroadcast:
     def test_single_lambda_run(self, tmp_path):
         out = tmp_path / "bc.csv"
         assert cli.main(["broadcast", "--lambda-phi", "10", "--r0-min", "4",
-                         "--r0-max", "16", "--r0-points", "3", "--out", str(out),
-                         "--jobs", "1"]) == 0
+                         "--r0-max", "16", "--r0-points", "3", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["r0", "ic_bob1", "ic_bob2"]
         assert len(rows) == 3
@@ -98,12 +98,57 @@ class TestBroadcast:
     def test_both_lambdas_two_files(self, tmp_path):
         out = tmp_path / "bc.csv"
         assert cli.main(["broadcast", "--r0-min", "2", "--r0-max", "18",
-                         "--r0-points", "2", "--out", str(out), "--jobs", "1"]) == 0
+                         "--r0-points", "2", "--out", str(out)]) == 0
         assert (tmp_path / "bc_lphi10.csv").exists()
         assert (tmp_path / "bc_lphi1000.csv").exists()
         _, rows = read_csv(tmp_path / "bc_lphi1000.csv")
         assert rows[0][2] >= 0.99   # smallest r0: outer receiver gets everything
         assert rows[-1][1] >= 0.99  # largest r0: inner receiver does
+
+
+# (subcommand, flag, value) for every flag a subcommand does not read
+REMOVED_FLAGS = [
+    ("capacity", "--jobs", "2"), ("capacity", "--rel-tol", "1e-4"),
+    ("capacity", "--kmax", "77"), ("capacity", "--eps", "0.3"),
+    ("capacity", "--delta", "5"),
+    ("smearings", "--jobs", "2"), ("smearings", "--kmax", "3"),
+    ("smearings", "--eps", "0.4"),
+    ("broadcast", "--jobs", "2"), ("broadcast", "--rel-tol", "1e-3"),
+    ("verify", "--jobs", "2"), ("verify", "--rel-tol", "1e-3"),
+    ("verify", "--kmax", "3"), ("verify", "--eps", "0.1"),
+    ("verify", "--delta", "5"), ("verify", "--plot-script", "plot.py"),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+    def test_flag_not_read_is_rejected(self, command, flag, value):
+        assert cli.main([command, flag, value]) == 2
+
+
+# (owner, field) of every float field, and (subcommand, flag) reaching one
+NON_FINITE_TARGETS = [
+    (ChannelConfig, "lambda_phi"), (ChannelConfig, "lambda_pi"),
+    (ChannelConfig, "sigma"), (ChannelConfig, "delta"), (ChannelConfig, "k_max"),
+    (BobSpec, "r0"), (BobSpec, "eps"),
+    ("capacity", "--lambda-min"), ("broadcast", "--delta"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("owner,name", NON_FINITE_TARGETS,
+                         ids=[getattr(o, "__name__", o) + "-" + n
+                              for o, n in NON_FINITE_TARGETS])
+def test_non_finite_input_rejected(owner, name, value, tmp_path):
+    if isinstance(owner, str):
+        argv = [owner, f"{name}={value}", "--out", str(tmp_path / "out.csv")]
+        if owner == "broadcast":
+            argv += ["--lambda-phi", "10", "--r0-points", "2"]
+        assert cli.main(argv) == 2
+    else:
+        required = {"lambda_phi": 1.0} if owner is ChannelConfig else {}
+        with pytest.raises(BadParameter):
+            owner(**{**required, name: float(value)})
 
 
 class TestConfigFile:
@@ -112,15 +157,17 @@ class TestConfigFile:
         cfgfile.write_text("lambda_max = 0.5\npoints = 5\n# comment\n", encoding="utf-8")
         out = tmp_path / "c.csv"
         assert cli.main(["capacity", "--config", str(cfgfile), "--points", "7",
-                         "--out", str(out), "--jobs", "1"]) == 0
+                         "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 7                      # flag beats file
         assert max(r[0] for r in rows) == pytest.approx(0.5)  # file value applied
 
     def test_unknown_key_rejected(self, tmp_path):
+        # jobs is a removed flag: its key is as unknown as a misspelled one
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("lambda_maximum = 2\n", encoding="utf-8")
-        assert cli.main(["capacity", "--config", str(cfgfile)]) == 2
+        for line in ("lambda_maximum = 2\n", "jobs = 2\n"):
+            cfgfile.write_text(line, encoding="utf-8")
+            assert cli.main(["capacity", "--config", str(cfgfile)]) == 2
 
     def test_missing_file_rejected(self, tmp_path):
         assert cli.main(["capacity", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -17,6 +17,11 @@ couplings = st.floats(0.05, 50.0)
 GAUSS_3D = smearing.GaussianProfile(1.0, 3)
 
 
+def closed_w(x_l, z_l, x_m, z_m, sigma, lphi, lpi):
+    """W_lm of O_l = x_l pi_A + z_l phi_A and O_m, from the Gaussian closed form."""
+    return obs.gaussian_w_matrix((x_l, x_m), (z_l, z_m), sigma, lphi, lpi)[0, 1]
+
+
 def phi_amp(coupling=1.0, time=0.0, profile=GAUSS_3D):
     return obs.momentum_amplitude(obs.FieldObservableSpec("phi", profile, time, coupling))
 
@@ -82,17 +87,17 @@ class TestOverlapW:
 
 class TestGaussianClosedForm:
     def test_phi_only_term(self):
-        w = obs.gaussian_W_closed_form(1, 1, 1, 1, sigma=1.0, lambda_phi=1.0, lambda_pi=0.0)
+        w = closed_w(1, 1, 1, 1, sigma=1.0, lphi=1.0, lpi=0.0)
         assert w == pytest.approx(1.0 / (4 * np.pi**2), rel=1e-14)
 
     def test_aligned_signs_are_real(self):
-        w = obs.gaussian_W_closed_form(1, 1, 1, 1, 1.0, 2.0, 3.0)
+        w = closed_w(1, 1, 1, 1, 1.0, 2.0, 3.0)
         assert w.imag == 0.0
 
     def test_against_quadrature(self):
         sigma, lphi, lpi = 1.0, 2.0, 0.7
         for x_l, z_l, x_m, z_m in itertools.product((1, -1), repeat=4):
-            closed = obs.gaussian_W_closed_form(x_l, z_l, x_m, z_m, sigma, lphi, lpi)
+            closed = closed_w(x_l, z_l, x_m, z_m, sigma, lphi, lpi)
             l = phi_amp(lphi).scaled(z_l) + pi_amp(lpi).scaled(x_l)
             m = phi_amp(lphi).scaled(z_m) + pi_amp(lpi).scaled(x_m)
             quad = obs.overlap_W(l, m, rel_tol=1e-12)
@@ -109,14 +114,14 @@ class TestGaussianClosedForm:
     @given(signs, signs, signs, signs, st.floats(0.2, 5.0), couplings, couplings)
     @settings(max_examples=300, deadline=None)
     def test_hermitian_pairing(self, x_l, z_l, x_m, z_m, sigma, lphi, lpi):
-        w_lm = obs.gaussian_W_closed_form(x_l, z_l, x_m, z_m, sigma, lphi, lpi)
-        w_ml = obs.gaussian_W_closed_form(x_m, z_m, x_l, z_l, sigma, lphi, lpi)
+        w_lm = closed_w(x_l, z_l, x_m, z_m, sigma, lphi, lpi)
+        w_ml = closed_w(x_m, z_m, x_l, z_l, sigma, lphi, lpi)
         assert w_lm == pytest.approx(np.conj(w_ml), rel=1e-14)
 
     @given(signs, signs, st.floats(0.2, 5.0), couplings, couplings)
     @settings(max_examples=300, deadline=None)
     def test_diagonal_nonnegative(self, x, z, sigma, lphi, lpi):
-        w = obs.gaussian_W_closed_form(x, z, x, z, sigma, lphi, lpi)
+        w = closed_w(x, z, x, z, sigma, lphi, lpi)
         assert w.imag == 0.0
         assert w.real >= 0.0
 

@@ -131,19 +131,20 @@ class TestProfiles2D:
         assert np.allclose(profs[2](rs), 0.0, atol=1e-13)
 
     def test_propagation_result_invariants(self):
-        # the bundled result ties spectra and profiles together: spectra obey
-        # the propagation factors pointwise, profiles invert them (the tight
-        # dual-route bound is covered above; this is the container contract)
-        res = propagation.PropagationResult.for_gaussian(1.0, 4.0, d=3)
-        assert res.delta == 4.0
+        # spectra and closed-form 3d profiles tie together: spectra obey the
+        # propagation factors pointwise, profiles invert them (the tight
+        # dual-route bound is covered above)
         fa = smearing.GaussianSpectrum(1.0, 3)
+        spectra = propagation.bob_spectra(fa, 4.0)
+        profiles = propagation.bob_profiles_3d(1.0, 4.0)
+        assert all(s.delta == 4.0 for s in spectra)
         ks = np.linspace(0.05, 20.0, 50)
         factors = (-4.0 * np.sinc(4.0 * ks / np.pi), np.cos(4.0 * ks),
                    ks * np.sin(4.0 * ks))
-        for spec, fac in zip(res.spectra, factors):
+        for spec, fac in zip(spectra, factors):
             assert np.allclose(spec(ks), fa(ks) * fac, rtol=1e-12)
         rs = np.linspace(0.0, 8.0, 33)
-        for prof, spec in zip(res.profiles, res.spectra):
+        for prof, spec in zip(profiles, spectra):
             back = smearing.inverse_fourier_radial(spec, rel_tol=1e-10)
             peak = np.max(np.abs(prof(rs)))
             assert np.max(np.abs(back(rs) - prof(rs))) / peak < 1e-6

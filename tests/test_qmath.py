@@ -83,6 +83,15 @@ class TestEntropy:
         rho = np.diag([1.0 + 5e-10, -5e-10])
         assert qmath.von_neumann_entropy(rho) >= -1e-9
 
+    def test_validated_spectrum_gives_same_entropy(self):
+        # a DensityMatrix reuses the eigenvalues of its validation; the
+        # entropy must be bit-identical to decomposing the matrix again
+        for seed in range(20):
+            for dim in (2, 4):
+                rho = qmath.random_density_matrix(dim, seed=seed)
+                assert qmath.von_neumann_entropy(rho) == \
+                    qmath.von_neumann_entropy(rho.matrix)
+
     def test_rejects_large_negative_eigenvalue(self):
         with pytest.raises(InvalidState):
             qmath.von_neumann_entropy(np.diag([1.1, -0.1]))

@@ -87,8 +87,8 @@ class TestInverseFourierRadial:
             assert np.max(np.abs(back(rs) - prof(rs))) / peak < 1e-8
 
     def test_zero_spectrum_gives_zero_profile(self):
-        ks = np.linspace(0.0, 40.0, 64)
-        spec = smearing.SampledSpectrum(ks, np.zeros_like(ks), d=3)
+        # at Delta = 0 the sinc propagation factor -Delta sinc(Delta k) vanishes
+        spec = smearing.PropagatedSpectrum(smearing.GaussianSpectrum(1.0, 3), 0.0, "sinc")
         prof = smearing.inverse_fourier_radial(spec)
         assert prof(np.array([0.0, 1.0, 2.5])) == pytest.approx([0.0, 0.0, 0.0], abs=1e-13)
 
@@ -104,37 +104,6 @@ class TestInverseFourierRadial:
             mom = smearing.adaptive_quadrature(lambda k: omega * k**p * spec(k) ** 2,
                                                0.0, spec.k_max, 1e-11)
             assert mom == pytest.approx(pos, rel=1e-8)
-
-
-def _j0_series(x, terms=60):
-    # independent power-series oracle, accurate for |x| <= ~6
-    total, term = 1.0, 1.0
-    for m in range(1, terms):
-        term *= -(x * x / 4.0) / (m * m)
-        total += term
-    return total
-
-
-class TestBesselJ0:
-    def test_at_zero(self):
-        assert smearing.bessel_j0(0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_first_zero(self):
-        # root located by bisection on the independent series
-        lo, hi = 2.0, 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _j0_series(lo) * _j0_series(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        root = 0.5 * (lo + hi)
-        assert root == pytest.approx(2.404825557695773, abs=1e-12)
-        assert abs(smearing.bessel_j0(2.404825557695773)) < 1e-10
-
-    def test_at_one_vs_series(self):
-        assert _j0_series(1.0) == pytest.approx(0.7651976865579666, abs=1e-14)
-        assert smearing.bessel_j0(1.0) == pytest.approx(0.7651976865579666, abs=1e-12)
 
 
 class TestAdaptiveQuadrature:
@@ -189,26 +158,3 @@ class TestWindows:
             smearing.SmoothStep(0.0, 0.1, "inner")
         with pytest.raises(BadParameter):
             smearing.SmoothStep(1.0, 0.1, "sideways")
-
-
-class TestSampledProfile:
-    def test_interpolates_and_vanishes_outside(self):
-        rs = np.linspace(0.0, 6.0, 301)
-        prof = smearing.SampledProfile(rs, np.exp(-rs * rs), d=3, sigma_ref=1.0)
-        assert prof(1.234) == pytest.approx(np.exp(-1.234**2), abs=1e-7)
-        assert prof(7.0) == 0.0
-
-    def test_rejects_coarse_grid(self):
-        rs = np.linspace(0.0, 6.0, 16)
-        with pytest.raises(BadParameter):
-            smearing.SampledProfile(rs, np.exp(-rs * rs), d=3, sigma_ref=1.0)
-
-    def test_rejects_nonuniform_grid(self):
-        rs = np.array([0.0, 0.01, 0.03, 0.035, 0.05])
-        with pytest.raises(BadParameter):
-            smearing.SampledProfile(rs, rs * 0, d=3, sigma_ref=1.0)
-
-    def test_rejects_uncovered_tail(self):
-        rs = np.linspace(0.0, 3.0, 256)  # e^{-9} tail, far above 1e-12 of peak
-        with pytest.raises(BadParameter):
-            smearing.SampledProfile(rs, np.exp(-rs * rs), d=3, sigma_ref=1.0)
