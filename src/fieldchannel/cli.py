@@ -12,6 +12,7 @@ failure, 2 bad flags, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -171,6 +172,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, sub_map: dict,
 
 def run_capacity(args) -> int:
     out = args.out or "capacity.csv"
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise BadParameter(f"{flag} must be finite and positive, got {value!r}")
     grid = np.logspace(np.log10(args.lambda_min), np.log10(args.lambda_max), args.points)
     rows = capacity_sweep(grid, ChannelConfig(lambda_phi=1.0))
     write_csv(out, ["lambda_phi_over_sigma", "ic", "ic_clamped"], rows)
@@ -182,11 +186,12 @@ def run_capacity(args) -> int:
 
 def run_smearings(args) -> int:
     out = args.out or f"smearings_{args.dimension}d.csv"
-    rs = np.linspace(0.0, args.delta + 10.0, args.points)
+    # the profiles validate delta before it sets the radius grid
     if args.dimension == 3:
         profiles = bob_profiles_3d(1.0, args.delta)
     else:
         profiles = bob_profiles_2d_numeric(1.0, args.delta, rel_tol=args.rel_tol)
+    rs = np.linspace(0.0, args.delta + 10.0, args.points)
     cols = [np.asarray(p(rs)) for p in profiles]
     if args.normalize:
         cols = [c / np.max(np.abs(c)) if np.max(np.abs(c)) > 0 else c for c in cols]

@@ -20,6 +20,7 @@ see README) and F_B2, F_B3 are obtained by the numeric inverse transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ from .smearing import (
 
 def bob_spectra(fa: SpectralProfile, delta: float):
     """Spectra of the three receiver smearings, given the emitter spectrum."""
-    if delta < 0:
-        raise BadParameter("delta must be non-negative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise BadParameter(f"delta must be finite and non-negative, got {delta!r}")
     return (PropagatedSpectrum(fa, delta, "sinc"),
             PropagatedSpectrum(fa, delta, "cos"),
             PropagatedSpectrum(fa, delta, "ksin"))
@@ -79,8 +80,8 @@ class LightconeInterior2D(RadialProfile):
     theta_nodes: int = 32
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.delta < 0:
-            raise BadParameter("need sigma > 0 and delta >= 0")
+        if not (self.sigma > 0 and math.isfinite(self.delta) and self.delta >= 0):
+            raise BadParameter(f"need sigma > 0 and a finite delta >= 0, got delta={self.delta!r}")
 
     @property
     def sigma_ref(self) -> float:

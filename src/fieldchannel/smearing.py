@@ -12,6 +12,8 @@ dimensions.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,15 +72,26 @@ def complex_quadrature(f: Callable[[float], complex], a: float, b: float,
     return re + 1j * im
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count
+    and returned read-only. The nodes are symmetric about 0."""
+    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def gauss_legendre_panels(a: float, b: float, panel_len: float, nodes: int):
     """Composite Gauss-Legendre rule: fixed nodes/weights, deterministic order.
 
     Used for the vectorized inner loops of the channel assembly, where the
     adaptive engine would be evaluated once per output point. Accuracy is
     driven by nodes-per-panel versus the integrand's oscillation rate and is
-    checked by doubling tests.
+    checked by doubling tests. The panels have equal length, and nodes are
+    listed panel by panel.
     """
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+    x0, w0 = _legendre_rule(nodes)
     n_panels = max(1, int(np.ceil((b - a) / panel_len)))
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * np.diff(edges)
@@ -169,8 +182,8 @@ class GaussianShellProfile(RadialProfile):
     d: int = 3
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.delta < 0:
-            raise BadParameter("need sigma > 0 and delta >= 0")
+        if not (self.sigma > 0 and math.isfinite(self.delta) and self.delta >= 0):
+            raise BadParameter(f"need sigma > 0 and a finite delta >= 0, got delta={self.delta!r}")
         if self.order not in (0, 1, 2):
             raise BadParameter(f"order must be 0, 1 or 2, got {self.order}")
         if self.d != 3:
@@ -324,6 +337,11 @@ class PropagatedSpectrum(SpectralProfile):
         return self.base(k) * _PROPAGATION_FACTORS[self.kind](k, self.delta)
 
 
+def _require_rel_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise BadParameter(f"rel_tol must be finite and positive, got {rel_tol!r}")
+
+
 def _envelope_floor(envelope: Callable, top: float) -> float:
     """Noise floor for oscillatory radial integrals: roundoff accumulated by
     the extrapolated rule scales with the envelope area, not the (possibly
@@ -339,6 +357,9 @@ class NumericSpectrum(SpectralProfile):
 
     profile: RadialProfile
     rel_tol: float = DEFAULT_REL_TOL
+
+    def __post_init__(self):
+        _require_rel_tol(self.rel_tol)
 
     @property
     def d(self) -> int:
@@ -373,6 +394,9 @@ class NumericProfile(RadialProfile):
 
     source: SpectralProfile
     rel_tol: float = DEFAULT_REL_TOL
+
+    def __post_init__(self):
+        _require_rel_tol(self.rel_tol)
 
     @property
     def d(self) -> int:

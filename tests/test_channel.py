@@ -184,6 +184,36 @@ class TestRhoCB:
             assert np.max(np.abs(rho_c - np.eye(2) / 2)) < 1e-11
 
 
+def direct_windowed_spectra(cfg, k):
+    """The sinc kernel over every node of the production r grid, formed
+    explicitly: the reference for the factorised transform."""
+    sigma, delta = cfg.sigma, cfg.delta
+    r_panel = min(sigma / 4.0, 1.5 * cfg.r_nodes / cfg.resolved_k_max)
+    rg, rw = smearing.gauss_legendre_panels(max(0.0, delta - 9.0 * sigma),
+                                            delta + 9.0 * sigma, r_panel, cfg.r_nodes)
+    profiles = channel._truncated_bob_profiles(cfg)
+    coefs = np.stack([rw * rg * rg * p(rg) for p in profiles], axis=1)
+    return channel.SQRT_2_OVER_PI * np.sinc(k[:, None] * rg[None, :] / np.pi) @ coefs
+
+
+# Delta < 9 puts the lower edge of the r grid at 0
+DIRECT_KERNEL_POINTS = [(delta, r0) for delta in (3.0, 8.5, 10.0, 25.0)
+                        for r0 in (0.5, delta - 2.0, delta, delta + 2.0, delta + 8.0)]
+
+
+@pytest.mark.parametrize("side", ("inner", "outer"))
+@pytest.mark.parametrize("eps", (0.05, 0.2))
+@pytest.mark.parametrize("delta,r0", DIRECT_KERNEL_POINTS)
+def test_windowed_spectra_match_direct_kernel(delta, r0, eps, side):
+    cfg = ChannelConfig(lambda_phi=10.0, delta=delta,
+                        bob=BobSpec(f"truncated_{side}", r0=r0, eps=eps))
+    k = np.linspace(0.01, 200.0, 997)
+    ref = direct_windowed_spectra(cfg, k)
+    got = channel._windowed_spectra(cfg, k)
+    # each profile's spectrum against its own peak
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * np.max(np.abs(ref), axis=0))
+
+
 class TestSweeps:
     def test_capacity_rows(self):
         grid = np.logspace(-1, 3, 9)

@@ -1,11 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fieldchannel import cli, verify
 from fieldchannel.channel import BobSpec, ChannelConfig
 from fieldchannel.errors import BadParameter
+from fieldchannel.propagation import LightconeInterior2D, bob_spectra
+from fieldchannel.smearing import (
+    GaussianProfile,
+    GaussianShellProfile,
+    GaussianSpectrum,
+    NumericProfile,
+    NumericSpectrum,
+)
 
 
 def read_csv(path):
@@ -131,8 +141,27 @@ NON_FINITE_TARGETS = [
     (ChannelConfig, "lambda_phi"), (ChannelConfig, "lambda_pi"),
     (ChannelConfig, "sigma"), (ChannelConfig, "delta"), (ChannelConfig, "k_max"),
     (BobSpec, "r0"), (BobSpec, "eps"),
+    (bob_spectra, "delta"), (GaussianShellProfile, "delta"),
+    (LightconeInterior2D, "delta"), (NumericSpectrum, "rel_tol"),
+    (NumericProfile, "rel_tol"),
     ("capacity", "--lambda-min"), ("broadcast", "--delta"),
+    ("smearings", "--delta"), ("smearings", "--rel-tol"),
 ]
+# the other arguments each owner needs, and the flags each subcommand needs
+# to reach the checked field
+REQUIRED_ARGS = {
+    ChannelConfig: {"lambda_phi": 1.0},
+    bob_spectra: {"fa": GaussianSpectrum(1.0, 3)},
+    GaussianShellProfile: {"sigma": 1.0, "order": 0},
+    LightconeInterior2D: {"sigma": 1.0},
+    NumericSpectrum: {"profile": GaussianProfile(1.0, 3)},
+    NumericProfile: {"source": GaussianSpectrum(1.0, 2)},
+}
+REQUIRED_FLAGS = {
+    ("broadcast", "--delta"): ["--lambda-phi", "10", "--r0-points", "2"],
+    ("smearings", "--delta"): ["--points", "3"],
+    ("smearings", "--rel-tol"): ["--points", "3", "--dimension", "2"],
+}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -142,13 +171,21 @@ NON_FINITE_TARGETS = [
 def test_non_finite_input_rejected(owner, name, value, tmp_path):
     if isinstance(owner, str):
         argv = [owner, f"{name}={value}", "--out", str(tmp_path / "out.csv")]
-        if owner == "broadcast":
-            argv += ["--lambda-phi", "10", "--r0-points", "2"]
-        assert cli.main(argv) == 2
+        assert cli.main(argv + REQUIRED_FLAGS.get((owner, name), [])) == 2
     else:
-        required = {"lambda_phi": 1.0} if owner is ChannelConfig else {}
         with pytest.raises(BadParameter):
-            owner(**{**required, name: float(value)})
+            owner(**{**REQUIRED_ARGS.get(owner, {}), name: float(value)})
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
+def test_capacity_grid_bounds_checked_before_use(flag, value, tmp_path, capsys):
+    # the grid is log-spaced: the bounds are checked before numpy sees them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["capacity", f"{flag}={value}",
+                         "--out", str(tmp_path / "out.csv")]) == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -138,6 +138,33 @@ class TestAdaptiveQuadrature:
                                          0.0, 1.0, rel_tol=1e-12, limit=3)
 
 
+class TestGaussLegendrePanels:
+    def test_cached_base_rule_gives_the_same_grid(self):
+        # the composite rule assembled from a fresh leggauss, bit for bit
+        x0, w0 = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(1.0, 7.0, 25)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+        for _ in range(2):
+            xs, ws = smearing.gauss_legendre_panels(1.0, 7.0, 0.25, 16)
+            assert np.array_equal(xs, (mid[:, None] + half[:, None] * x0).ravel())
+            assert np.array_equal(ws, (half[:, None] * w0).ravel())
+
+    def test_base_rule_is_read_only(self):
+        x0, w0 = smearing._legendre_rule(8)
+        with pytest.raises(ValueError):
+            x0[0] = 0.0
+        with pytest.raises(ValueError):
+            w0[0] = 0.0
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10])
+def test_numeric_transforms_reject_non_positive_rel_tol(rel_tol):
+    with pytest.raises(BadParameter):
+        smearing.NumericSpectrum(smearing.GaussianProfile(1.0, 3), rel_tol)
+    with pytest.raises(BadParameter):
+        smearing.NumericProfile(smearing.GaussianSpectrum(1.0, 3), rel_tol)
+
+
 class TestWindows:
     @given(st.floats(0.1, 20.0), st.floats(0.01, 1.0), st.floats(0.0, 25.0))
     @settings(max_examples=300, deadline=None)
