@@ -49,14 +49,13 @@ from .smearing import (
     GaussianProfile,
     GaussianShellProfile,
     GaussianSpectrum,
+    NumericProfile,
+    NumericSpectrum,
     RadialProfile,
     SmoothStep,
     SpectralProfile,
     WindowedProfile,
     adaptive_quadrature,
-    fourier_radial,
-    gaussian_profile,
-    inverse_fourier_radial,
 )
 
 __version__ = "0.1.0"

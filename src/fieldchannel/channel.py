@@ -49,11 +49,11 @@ from .qmath import DensityMatrix, coherent_information
 from .smearing import (
     GaussianProfile,
     GaussianSpectrum,
+    NumericSpectrum,
     SmoothStep,
     WindowedProfile,
     _legendre_rule,
     default_k_max,
-    fourier_radial,
     gauss_legendre_panels,
 )
 
@@ -66,7 +66,6 @@ BOB_VARIANTS = ("full", "truncated_inner", "truncated_outer", "rank1", "none")
 BASE_PHI_A, BASE_PI_A, BASE_X_B, BASE_Z_B = 0, 1, 2, 3
 SLOT_BASE = (BASE_PHI_A, BASE_PI_A, BASE_X_B, BASE_Z_B,
              BASE_Z_B, BASE_X_B, BASE_PI_A, BASE_PHI_A)
-SIGN_NAMES = ("z1", "x1", "x2", "z2", "z3", "x3", "x4", "z4")
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +149,6 @@ class ChannelResult:
     rho_cb: DensityMatrix
     coherent_info: float
     condition_report: ConditionReport
-
-
-@dataclass(frozen=True)
-class ExponentTemplate:
-    """The 8-slot operator string: slot -> base observable plus sign labels."""
-
-    slot_base: tuple
-    sign_names: tuple
-    base_amplitudes: list      # [phi_A, pi_A, X_B, Z_B] as SpectralAmplitude
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +287,12 @@ def overlap_matrix(config: ChannelConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exponent template (inspection / oracle surface)
+# exponent string (inspection / oracle surface)
 # ---------------------------------------------------------------------------
 
-def build_exponent_string(config: ChannelConfig) -> ExponentTemplate:
-    """The ordered 8-slot template and the four base coherent amplitudes.
+def build_exponent_string(config: ChannelConfig) -> tuple:
+    """The four base coherent amplitudes (phi_A, pi_A, X_B, Z_B) of the
+    8-slot string; SLOT_BASE maps each slot to one of them.
 
     For the full receiver the X_B / Z_B amplitudes equal pi_A / phi_A
     pointwise (the propagation identity); for truncated receivers they are
@@ -319,7 +310,7 @@ def build_exponent_string(config: ChannelConfig) -> ExponentTemplate:
         if config.d != 3:
             raise BadParameter("truncated receivers are implemented for d = 3 only")
         p1, p2, p3 = _truncated_bob_profiles(config)
-        s1, s2, s3 = (fourier_radial(p) for p in (p1, p2, p3))
+        s1, s2, s3 = (NumericSpectrum(p) for p in (p1, p2, p3))
     z_b = (momentum_amplitude(FieldObservableSpec("phi", s2, config.delta, config.lambda_phi))
            + momentum_amplitude(FieldObservableSpec("pi", s1, config.delta, config.lambda_phi)))
     x_b = (momentum_amplitude(FieldObservableSpec("phi", s3, config.delta, lpi))
@@ -329,7 +320,7 @@ def build_exponent_string(config: ChannelConfig) -> ExponentTemplate:
     elif variant == "none":
         z_b, x_b = z_b.scaled(0.0), x_b.scaled(0.0)
 
-    return ExponentTemplate(SLOT_BASE, SIGN_NAMES, [phi_a, pi_a, x_b, z_b])
+    return phi_a, pi_a, x_b, z_b
 
 
 # ---------------------------------------------------------------------------

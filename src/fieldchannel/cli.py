@@ -22,6 +22,7 @@ from . import verify as verify_mod
 from .channel import BobSpec, ChannelConfig, broadcast_sweep, capacity_sweep
 from .errors import BadParameter, FieldChannelError
 from .propagation import bob_profiles_2d_numeric, bob_profiles_3d
+from .smearing import require_rel_tol
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -186,6 +187,7 @@ def run_capacity(args) -> int:
 
 def run_smearings(args) -> int:
     out = args.out or f"smearings_{args.dimension}d.csv"
+    require_rel_tol(args.rel_tol)
     # the profiles validate delta before it sets the radius grid
     if args.dimension == 3:
         profiles = bob_profiles_3d(1.0, args.delta)

@@ -29,10 +29,10 @@ import numpy as np
 from .errors import BadParameter
 from .smearing import (
     DEFAULT_REL_TOL,
+    NumericSpectrum,
     RadialProfile,
     SpectralProfile,
     complex_quadrature,
-    fourier_radial,
 )
 
 SOLID_ANGLE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -61,7 +61,8 @@ class FieldObservableSpec:
         if isinstance(self.profile, SpectralProfile):
             return self.profile
         if isinstance(self.profile, RadialProfile):
-            return fourier_radial(self.profile)
+            analytic = self.profile.spectrum()
+            return analytic if analytic is not None else NumericSpectrum(self.profile)
         raise BadParameter(f"unsupported profile type {type(self.profile)!r}")
 
 
@@ -117,7 +118,7 @@ def momentum_amplitude(spec: FieldObservableSpec) -> SpectralAmplitude:
 # ---------------------------------------------------------------------------
 
 def overlap_W(l: SpectralAmplitude, m: SpectralAmplitude,
-              rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0) -> complex:
+              rel_tol: float = DEFAULT_REL_TOL) -> complex:
     """W_lm = <0|O_l O_m|0> = int d^dk b_l(k) b_m*(k), reduced to a radial integral.
 
     Satisfies overlap_W(l, m) = conj(overlap_W(m, l)), and W_ll >= 0.
@@ -135,8 +136,7 @@ def overlap_W(l: SpectralAmplitude, m: SpectralAmplitude,
     # alone can be an exact zero that no relative tolerance can resolve)
     probes = top * np.linspace(0.03125, 0.96875, 31)
     scale = float(np.max(np.abs(integrand(probes)))) * top
-    floor = max(abs_floor, 5e-15 * scale)
-    return complex_quadrature(integrand, 0.0, top, rel_tol, floor)
+    return complex_quadrature(integrand, 0.0, top, rel_tol, 5e-15 * scale)
 
 
 def _gaussian_moment(n: int, sigma: float) -> float:

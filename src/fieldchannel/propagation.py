@@ -38,6 +38,10 @@ from .smearing import (
     gauss_legendre_panels,
 )
 
+# composite Gauss-Legendre rule of the 2d interior kernel's theta integral
+THETA_PANELS = 8
+THETA_NODES = 32
+
 
 def bob_spectra(fa: SpectralProfile, delta: float):
     """Spectra of the three receiver smearings, given the emitter spectrum."""
@@ -76,8 +80,6 @@ class LightconeInterior2D(RadialProfile):
     sigma: float
     delta: float
     d: int = 2
-    theta_panels: int = 8
-    theta_nodes: int = 32
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.delta) and self.delta >= 0):
@@ -97,8 +99,7 @@ class LightconeInterior2D(RadialProfile):
             out = np.zeros_like(r)
             return out if out.size > 1 else float(out[0])
         theta, w = gauss_legendre_panels(0.0, np.pi / 2.0,
-                                         (np.pi / 2.0) / self.theta_panels,
-                                         self.theta_nodes)
+                                         (np.pi / 2.0) / THETA_PANELS, THETA_NODES)
         s2 = self.sigma**2
         rho = self.delta * np.sin(theta)
         gauss = np.exp(-((r[:, None] - rho[None, :]) ** 2) / s2)

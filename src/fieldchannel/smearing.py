@@ -65,10 +65,9 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
 
 
 def complex_quadrature(f: Callable[[float], complex], a: float, b: float,
-                       rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0,
-                       limit: int = 4096) -> complex:
-    re = adaptive_quadrature(lambda x: f(x).real, a, b, rel_tol, abs_floor, limit)
-    im = adaptive_quadrature(lambda x: f(x).imag, a, b, rel_tol, abs_floor, limit)
+                       rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0) -> complex:
+    re = adaptive_quadrature(lambda x: f(x).real, a, b, rel_tol, abs_floor)
+    im = adaptive_quadrature(lambda x: f(x).imag, a, b, rel_tol, abs_floor)
     return re + 1j * im
 
 
@@ -281,10 +280,6 @@ class SpectralProfile:
     def __call__(self, k):
         raise NotImplementedError
 
-    def inverse_profile(self):
-        """Analytic position-space descriptor if one is known, else None."""
-        return None
-
 
 @dataclass(frozen=True)
 class GaussianSpectrum(SpectralProfile):
@@ -300,9 +295,6 @@ class GaussianSpectrum(SpectralProfile):
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
         return (2.0 * np.pi) ** (-self.d / 2.0) * np.exp(-k * k * self.sigma**2 / 4.0)
-
-    def inverse_profile(self):
-        return GaussianProfile(self.sigma, self.d)
 
 
 _PROPAGATION_FACTORS = {
@@ -337,7 +329,7 @@ class PropagatedSpectrum(SpectralProfile):
         return self.base(k) * _PROPAGATION_FACTORS[self.kind](k, self.delta)
 
 
-def _require_rel_tol(rel_tol: float) -> None:
+def require_rel_tol(rel_tol: float) -> None:
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise BadParameter(f"rel_tol must be finite and positive, got {rel_tol!r}")
 
@@ -351,6 +343,28 @@ def _envelope_floor(envelope: Callable, top: float) -> float:
     return 5e-15 * scale + 1e-300
 
 
+def _radial_transform(f: Callable, xs, top: float, d: int, rel_tol: float):
+    """int_0^top y^(d-1) f(y) K_d(x y) dy at each point x of xs by adaptive
+    quadrature, with K_3(u) = sqrt(2/pi) sin(u)/u and K_2 = J0 (the module
+    convention). The forward and inverse transforms share it: only f and
+    top differ. The noise floor depends on f and top alone, so it is taken
+    once for all points."""
+    xs = np.asarray(xs, dtype=float)
+    power = d - 1
+    floor = _envelope_floor(lambda y: y**power * f(y), top)
+
+    def at(x):
+        if d == 3:
+            integrand = lambda y: y * y * f(y) * np.sinc(x * y / np.pi)
+            return SQRT_2_OVER_PI * adaptive_quadrature(
+                integrand, 0.0, top, rel_tol, abs_floor=floor)
+        integrand = lambda y: y * f(y) * scipy.special.j0(x * y)
+        return adaptive_quadrature(integrand, 0.0, top, rel_tol, abs_floor=floor)
+
+    vals = [at(x) for x in xs.ravel()]
+    return vals[0] if xs.ndim == 0 else np.array(vals).reshape(xs.shape)
+
+
 @dataclass(frozen=True)
 class NumericSpectrum(SpectralProfile):
     """Forward radial transform of a profile, evaluated by quadrature on demand."""
@@ -359,7 +373,7 @@ class NumericSpectrum(SpectralProfile):
     rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
-        _require_rel_tol(self.rel_tol)
+        require_rel_tol(self.rel_tol)
 
     @property
     def d(self) -> int:
@@ -370,22 +384,8 @@ class NumericSpectrum(SpectralProfile):
         windowed = isinstance(self.profile, WindowedProfile)
         return default_k_max(self.profile.sigma_ref, windowed=windowed)
 
-    def _eval_one(self, k: float) -> float:
-        f, top = self.profile, self.profile.r_support
-        power = self.d - 1
-        floor = _envelope_floor(lambda r: r**power * f(r), top)
-        if self.d == 3:
-            integrand = lambda r: r * r * f(r) * np.sinc(k * r / np.pi)
-            return SQRT_2_OVER_PI * adaptive_quadrature(
-                integrand, 0.0, top, self.rel_tol, abs_floor=floor)
-        integrand = lambda r: r * f(r) * scipy.special.j0(k * r)
-        return adaptive_quadrature(integrand, 0.0, top, self.rel_tol, abs_floor=floor)
-
     def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        if k.ndim == 0:
-            return self._eval_one(float(k))
-        return np.array([self._eval_one(kk) for kk in k.ravel()]).reshape(k.shape)
+        return _radial_transform(self.profile, k, self.profile.r_support, self.d, self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -396,7 +396,7 @@ class NumericProfile(RadialProfile):
     rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
-        _require_rel_tol(self.rel_tol)
+        require_rel_tol(self.rel_tol)
 
     @property
     def d(self) -> int:
@@ -410,52 +410,5 @@ class NumericProfile(RadialProfile):
     def r_support(self) -> float:
         return np.inf
 
-    def _eval_one(self, r: float) -> float:
-        s, top = self.source, self.source.k_max
-        power = self.d - 1
-        floor = _envelope_floor(lambda k: k**power * s(k), top)
-        if self.d == 3:
-            integrand = lambda k: k * k * s(k) * np.sinc(k * r / np.pi)
-            return SQRT_2_OVER_PI * adaptive_quadrature(
-                integrand, 0.0, top, self.rel_tol, abs_floor=floor)
-        integrand = lambda k: k * s(k) * scipy.special.j0(k * r)
-        return adaptive_quadrature(integrand, 0.0, top, self.rel_tol, abs_floor=floor)
-
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return self._eval_one(float(r))
-        return np.array([self._eval_one(rr) for rr in r.ravel()]).reshape(r.shape)
-
-
-# ---------------------------------------------------------------------------
-# module operations
-# ---------------------------------------------------------------------------
-
-def gaussian_profile(sigma: float, d: int) -> GaussianProfile:
-    """Normalized Gaussian smearing of width sigma in d = 2 or 3 dimensions."""
-    return GaussianProfile(sigma, d)
-
-
-def fourier_radial(p: RadialProfile, rel_tol: float = DEFAULT_REL_TOL,
-                   numeric: bool = False) -> SpectralProfile:
-    """Forward radial transform. Analytic descriptors map to analytic spectra
-    where the pair is known; numeric=True forces the quadrature route."""
-    if not numeric:
-        s = p.spectrum()
-        if s is not None:
-            return s
-    return NumericSpectrum(p, rel_tol)
-
-
-def inverse_fourier_radial(s: SpectralProfile, rel_tol: float = DEFAULT_REL_TOL,
-                           numeric: bool = False) -> RadialProfile:
-    """Inverse radial transform, the exact mirror of fourier_radial.
-
-    Only the plain Gaussian pair is mapped analytically; propagated spectra
-    deliberately take the quadrature route so that closed-form receiver
-    profiles retain an independent numeric cross-check.
-    """
-    if not numeric and isinstance(s, GaussianSpectrum):
-        return s.inverse_profile()
-    return NumericProfile(s, rel_tol)
+        return _radial_transform(self.source, r, self.source.k_max, self.d, self.rel_tol)

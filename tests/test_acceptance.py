@@ -94,8 +94,8 @@ def test_criterion_4_gaussian_algebra_oracles():
 def test_criterion_5_propagation_identity_residual():
     """phi[F](t_A) = phi[F2](t_B) + pi[F1](t_B) and the pi counterpart,
     at the amplitude level on a 500-point grid."""
-    template = channel.build_exponent_string(ChannelConfig(lambda_phi=2.0, delta=6.0))
-    phi_a, pi_a, x_b, z_b = template.base_amplitudes
+    phi_a, pi_a, x_b, z_b = channel.build_exponent_string(
+        ChannelConfig(lambda_phi=2.0, delta=6.0))
     ks = np.linspace(1e-4, 40.0, 500)
     res_phi = np.max(np.abs(z_b(ks) - phi_a(ks))) / np.max(np.abs(phi_a(ks)))
     res_pi = np.max(np.abs(x_b(ks) - pi_a(ks))) / np.max(np.abs(pi_a(ks)))

@@ -136,7 +136,7 @@ class TestFlags:
         assert cli.main([command, flag, value]) == 2
 
 
-# (owner, field) of every float field, and (subcommand, flag) reaching one
+# (owner, field) of every float field, and (subcommand argv, flag) reaching one
 NON_FINITE_TARGETS = [
     (ChannelConfig, "lambda_phi"), (ChannelConfig, "lambda_pi"),
     (ChannelConfig, "sigma"), (ChannelConfig, "delta"), (ChannelConfig, "k_max"),
@@ -146,6 +146,7 @@ NON_FINITE_TARGETS = [
     (NumericProfile, "rel_tol"),
     ("capacity", "--lambda-min"), ("broadcast", "--delta"),
     ("smearings", "--delta"), ("smearings", "--rel-tol"),
+    ("smearings --dimension 3", "--rel-tol"),
 ]
 # the other arguments each owner needs, and the flags each subcommand needs
 # to reach the checked field
@@ -161,6 +162,7 @@ REQUIRED_FLAGS = {
     ("broadcast", "--delta"): ["--lambda-phi", "10", "--r0-points", "2"],
     ("smearings", "--delta"): ["--points", "3"],
     ("smearings", "--rel-tol"): ["--points", "3", "--dimension", "2"],
+    ("smearings --dimension 3", "--rel-tol"): ["--points", "3"],
 }
 
 
@@ -170,7 +172,7 @@ REQUIRED_FLAGS = {
                               for o, n in NON_FINITE_TARGETS])
 def test_non_finite_input_rejected(owner, name, value, tmp_path):
     if isinstance(owner, str):
-        argv = [owner, f"{name}={value}", "--out", str(tmp_path / "out.csv")]
+        argv = [*owner.split(), f"{name}={value}", "--out", str(tmp_path / "out.csv")]
         assert cli.main(argv + REQUIRED_FLAGS.get((owner, name), [])) == 2
     else:
         with pytest.raises(BadParameter):

@@ -51,6 +51,17 @@ class TestMomentumAmplitude:
         with pytest.raises(BadParameter):
             obs.FieldObservableSpec("sigma", GAUSS_3D)
 
+    def test_spectrum_is_analytic_where_known_else_quadrature(self):
+        shell = smearing.GaussianShellProfile(1.0, 4.0, 1)
+        windowed = smearing.WindowedProfile(shell, smearing.SmoothStep(4.0, 0.1, "inner"))
+        spec = lambda profile: obs.FieldObservableSpec("phi", profile).spectrum()
+        assert spec(GAUSS_3D) == smearing.GaussianSpectrum(1.0, 3)
+        assert spec(shell) == smearing.PropagatedSpectrum(
+            smearing.GaussianSpectrum(1.0, 3), 4.0, "cos")
+        assert spec(windowed) == smearing.NumericSpectrum(windowed)
+        given_spectrum = smearing.GaussianSpectrum(2.0, 2)
+        assert spec(given_spectrum) is given_spectrum
+
 
 class TestOverlapW:
     def test_phi_phi_closed_value(self):

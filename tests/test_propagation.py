@@ -63,16 +63,6 @@ class TestProfiles3D:
             frac = np.trapezoid(mass[shell], rs[shell]) / np.trapezoid(mass, rs)
             assert 1.0 - frac <= 1e-6
 
-    def test_closed_forms_match_numeric_inverse_200_points(self):
-        sigma, delta = 1.0, 6.0
-        rs = np.linspace(0.0, delta + 4.0, 200)
-        spectra = propagation.bob_spectra(smearing.GaussianSpectrum(sigma, 3), delta)
-        for prof, spec in zip(propagation.bob_profiles_3d(sigma, delta), spectra):
-            numeric = smearing.inverse_fourier_radial(spec, rel_tol=1e-11)
-            ref = prof(rs)
-            peak = np.max(np.abs(ref))
-            assert np.max(np.abs(numeric(rs) - ref)) / peak < 1e-6
-
     def test_delta_derivative_structure(self):
         # order-1 and order-2 shells are Delta derivatives of the order-0 one:
         # FB2 = -d(FB1)/dDelta, FB3 = d^2(FB1)/dDelta^2 (FB1 = -S0)
@@ -133,7 +123,7 @@ class TestProfiles2D:
     def test_propagation_result_invariants(self):
         # spectra and closed-form 3d profiles tie together: spectra obey the
         # propagation factors pointwise, profiles invert them (the tight
-        # dual-route bound is covered above)
+        # dual-route bound is the verify suite propagation-dual-route-3d)
         fa = smearing.GaussianSpectrum(1.0, 3)
         spectra = propagation.bob_spectra(fa, 4.0)
         profiles = propagation.bob_profiles_3d(1.0, 4.0)
@@ -145,7 +135,7 @@ class TestProfiles2D:
             assert np.allclose(spec(ks), fa(ks) * fac, rtol=1e-12)
         rs = np.linspace(0.0, 8.0, 33)
         for prof, spec in zip(profiles, spectra):
-            back = smearing.inverse_fourier_radial(spec, rel_tol=1e-10)
+            back = smearing.NumericProfile(spec, rel_tol=1e-10)
             peak = np.max(np.abs(prof(rs)))
             assert np.max(np.abs(back(rs) - prof(rs))) / peak < 1e-6
 

@@ -12,29 +12,29 @@ from fieldchannel.errors import BadParameter, QuadratureFailure
 
 class TestGaussianProfile:
     def test_peak_value_3d(self):
-        f = smearing.gaussian_profile(1.0, 3)
+        f = smearing.GaussianProfile(1.0, 3)
         assert f(0.0) == pytest.approx(np.pi ** -1.5, rel=1e-14)
 
     def test_peak_value_2d(self):
-        f = smearing.gaussian_profile(2.0, 2)
+        f = smearing.GaussianProfile(2.0, 2)
         assert f(0.0) == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-14)
 
     def test_unit_volume_integral(self):
-        f = smearing.gaussian_profile(1.0, 3)
+        f = smearing.GaussianProfile(1.0, 3)
         total = smearing.adaptive_quadrature(lambda r: 4 * np.pi * r * r * f(r),
                                              0.0, f.r_support, rel_tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(BadParameter):
-            smearing.gaussian_profile(0.0, 3)
+            smearing.GaussianProfile(0.0, 3)
         with pytest.raises(BadParameter):
-            smearing.gaussian_profile(-1.0, 2)
+            smearing.GaussianProfile(-1.0, 2)
 
 
 class TestFourierRadial:
     def test_gaussian_analytic_spectrum_3d(self):
-        spec = smearing.fourier_radial(smearing.gaussian_profile(1.0, 3))
+        spec = smearing.GaussianProfile(1.0, 3).spectrum()
         ks = np.linspace(0.0, 10.0, 50)
         expected = (2 * np.pi) ** -1.5 * np.exp(-ks * ks / 4)
         assert np.allclose(spec(ks), expected, rtol=1e-14)
@@ -42,30 +42,25 @@ class TestFourierRadial:
     def test_zero_frequency_is_total_integral(self):
         # a normalized profile has F~(0) = (2 pi)^{-d/2}
         for d in (2, 3):
-            spec = smearing.fourier_radial(smearing.gaussian_profile(1.3, d), numeric=True)
+            spec = smearing.NumericSpectrum(smearing.GaussianProfile(1.3, d))
             assert spec(0.0) == pytest.approx((2 * np.pi) ** (-d / 2), rel=1e-10)
 
     def test_numeric_matches_analytic_100_points(self):
         for d in (2, 3):
-            prof = smearing.gaussian_profile(1.0, d)
-            numeric = smearing.fourier_radial(prof, rel_tol=1e-12, numeric=True)
-            analytic = smearing.fourier_radial(prof)
+            prof = smearing.GaussianProfile(1.0, d)
+            numeric = smearing.NumericSpectrum(prof, rel_tol=1e-12)
+            analytic = prof.spectrum()
             ks = np.linspace(0.0, 12.0, 100)
             got, want = numeric(ks), analytic(ks)
             assert np.max(np.abs(got - want) / np.abs(want[0])) < 1e-9
 
 
 class TestInverseFourierRadial:
-    def test_gaussian_spectrum_maps_back(self):
-        prof = smearing.inverse_fourier_radial(smearing.GaussianSpectrum(1.0, 3))
-        assert isinstance(prof, smearing.GaussianProfile)
-        assert prof.sigma == 1.0
-
     def test_numeric_roundtrip_gaussian(self):
         for d in (2, 3):
-            prof = smearing.gaussian_profile(1.0, d)
-            spec = smearing.fourier_radial(prof, rel_tol=1e-10, numeric=True)
-            back = smearing.inverse_fourier_radial(spec, rel_tol=1e-10, numeric=True)
+            prof = smearing.GaussianProfile(1.0, d)
+            spec = smearing.NumericSpectrum(prof, rel_tol=1e-10)
+            back = smearing.NumericProfile(spec, rel_tol=1e-10)
             rs = np.linspace(0.0, 5.0, 9)
             assert np.max(np.abs(back(rs) - prof(rs))) / prof(0.0) < 1e-8
 
@@ -77,11 +72,11 @@ class TestInverseFourierRadial:
         for order in (0, 1, 2):
             prof = smearing.GaussianShellProfile(1.0, 4.0, order)
             exact_spec = prof.spectrum()
-            num_spec = smearing.fourier_radial(prof, rel_tol=1e-11, numeric=True)
+            num_spec = smearing.NumericSpectrum(prof, rel_tol=1e-11)
             ks = np.linspace(0.0, 12.0, 13)
             spec_peak = np.max(np.abs(exact_spec(np.linspace(0, 12, 200))))
             assert np.max(np.abs(num_spec(ks) - exact_spec(ks))) / spec_peak < 1e-8
-            back = smearing.inverse_fourier_radial(exact_spec, rel_tol=1e-11)
+            back = smearing.NumericProfile(exact_spec, rel_tol=1e-11)
             rs = np.linspace(0.0, 8.0, 17)
             peak = np.max(np.abs(prof(rs)))
             assert np.max(np.abs(back(rs) - prof(rs))) / peak < 1e-8
@@ -89,21 +84,8 @@ class TestInverseFourierRadial:
     def test_zero_spectrum_gives_zero_profile(self):
         # at Delta = 0 the sinc propagation factor -Delta sinc(Delta k) vanishes
         spec = smearing.PropagatedSpectrum(smearing.GaussianSpectrum(1.0, 3), 0.0, "sinc")
-        prof = smearing.inverse_fourier_radial(spec)
+        prof = smearing.NumericProfile(spec)
         assert prof(np.array([0.0, 1.0, 2.5])) == pytest.approx([0.0, 0.0, 0.0], abs=1e-13)
-
-    def test_parseval(self):
-        for prof in (smearing.gaussian_profile(1.0, 3),
-                     smearing.gaussian_profile(1.5, 2),
-                     smearing.GaussianShellProfile(1.0, 5.0, 1)):
-            spec = smearing.fourier_radial(prof)
-            omega = 4 * np.pi if prof.d == 3 else 2 * np.pi
-            p = prof.d - 1
-            pos = smearing.adaptive_quadrature(lambda r: omega * r**p * prof(r) ** 2,
-                                               0.0, prof.r_support, 1e-11)
-            mom = smearing.adaptive_quadrature(lambda k: omega * k**p * spec(k) ** 2,
-                                               0.0, spec.k_max, 1e-11)
-            assert mom == pytest.approx(pos, rel=1e-8)
 
 
 class TestAdaptiveQuadrature:
