@@ -20,7 +20,6 @@ from .errors import (
 )
 from .observables import (
     ConditionReport,
-    FieldObservableSpec,
     SpectralAmplitude,
     check_conditions,
     commutator_constant,

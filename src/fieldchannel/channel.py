@@ -28,6 +28,7 @@ base observables, so one 4x4 overlap matrix per configuration feeds all
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -38,7 +39,6 @@ from . import qmath
 from .errors import BadParameter
 from .observables import (
     ConditionReport,
-    FieldObservableSpec,
     check_conditions,
     gamma_rule_lambda_pi,
     gaussian_w_matrix,
@@ -47,7 +47,6 @@ from .observables import (
 from .propagation import bob_profiles_3d, bob_spectra
 from .qmath import DensityMatrix, coherent_information
 from .smearing import (
-    GaussianProfile,
     GaussianSpectrum,
     NumericSpectrum,
     SmoothStep,
@@ -60,6 +59,11 @@ from .smearing import (
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 BOB_VARIANTS = ("full", "truncated_inner", "truncated_outer", "rank1", "none")
+
+# nodes per panel of the deterministic composite Gauss-Legendre k and r
+# grids on the truncated path
+K_NODES = 16
+R_NODES = 32
 
 # slot -> base observable, in the fixed string order
 # [z1 phiA, x1 piA, x2 X_B, z2 Z_B, z3 Z_B, x3 X_B, x4 piA, z4 phiA]
@@ -113,9 +117,6 @@ class ChannelConfig:
     delta: float = 10.0
     bob: BobSpec = field(default_factory=BobSpec)
     k_max: float | None = None
-    # deterministic composite Gauss-Legendre grids for the truncated path
-    k_nodes: int = 16
-    r_nodes: int = 32
 
     def __post_init__(self):
         _require_finite(self)
@@ -127,6 +128,8 @@ class ChannelConfig:
             raise BadParameter("lambda_phi must be non-negative")
         if self.d not in (2, 3):
             raise BadParameter("d must be 2 or 3")
+        if self.k_max is not None and self.k_max <= 0:
+            raise BadParameter("k_max must be positive")
 
     @property
     def resolved_lambda_pi(self) -> float:
@@ -155,19 +158,15 @@ class ChannelResult:
 # qubit-side factors, precomputed once for all 256 sign assignments
 # ---------------------------------------------------------------------------
 
-_SIGNS_CACHE: tuple | None = None
-
-
+@functools.lru_cache(maxsize=None)
 def _sign_table_and_tensors():
-    """(256, 8) sign matrix and the matching (256, 4, 4) qubit tensors.
+    """(256, 8) sign matrix and the matching (256, 4, 4) qubit tensors,
+    built once and returned read-only.
 
     For signs (z1, x1, x2, z2, z3, x3, x4, z4) the tensor is
     sum_{j,k} <k_z|P_{-z1} P_{-x1} P_{x4} P_{z4}|j_z>  |{-j}><{-k}| (x) B
     with B = P_{-z3} P_{-x3} |+y><+y| P_{x2} P_{z2}.
     """
-    global _SIGNS_CACHE
-    if _SIGNS_CACHE is not None:
-        return _SIGNS_CACHE
     pz = {s: qmath.proj_z(s) for s in (1, -1)}
     px = {s: qmath.proj_x(s) for s in (1, -1)}
     py_plus = qmath.proj_y(1)
@@ -185,8 +184,9 @@ def _sign_table_and_tensors():
                 element = kets[k].conj() @ alice @ kets[j]
                 cmat[idx[-j], idx[-k]] += element
         tensors[t] = np.kron(cmat, bob)
-    _SIGNS_CACHE = (signs, tensors)
-    return _SIGNS_CACHE
+    signs.flags.writeable = False
+    tensors.flags.writeable = False
+    return signs, tensors
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def _windowed_spectra(config: ChannelConfig, k_values: np.ndarray) -> np.ndarray
     the base nodes and one contraction over the panels. Panels whose
     coefficients all lie below 1e-22 of the peak are dropped whole.
     """
-    sigma, delta, nodes = config.sigma, config.delta, config.r_nodes
+    sigma, delta, nodes = config.sigma, config.delta, R_NODES
     r_panel = min(sigma / 4.0, 1.5 * nodes / config.resolved_k_max)
     r_lo, r_hi = max(0.0, delta - 9.0 * sigma), delta + 9.0 * sigma
     rg, rw = gauss_legendre_panels(r_lo, r_hi, r_panel, nodes)
@@ -261,8 +261,8 @@ def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
     lphi, lpi = config.lambda_phi, config.resolved_lambda_pi
     k_max = config.resolved_k_max
     r_hi = delta + 9.0 * sigma
-    k_panel = min(0.5 / sigma, 1.5 * config.k_nodes / r_hi)
-    kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, config.k_nodes)
+    k_panel = min(0.5 / sigma, 1.5 * K_NODES / r_hi)
+    kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, K_NODES)
     f1w, f2w, f3w = _windowed_spectra(config, kg).T
 
     fa = GaussianSpectrum(sigma, 3)(kg)
@@ -298,23 +298,20 @@ def build_exponent_string(config: ChannelConfig) -> tuple:
     pointwise (the propagation identity); for truncated receivers they are
     built from the windowed smearings and evaluate through quadrature.
     """
-    lpi = config.resolved_lambda_pi
-    alice = GaussianProfile(config.sigma, config.d)
-    phi_a = momentum_amplitude(FieldObservableSpec("phi", alice, 0.0, config.lambda_phi))
-    pi_a = momentum_amplitude(FieldObservableSpec("pi", alice, 0.0, lpi))
+    lphi, lpi, delta = config.lambda_phi, config.resolved_lambda_pi, config.delta
+    alice = GaussianSpectrum(config.sigma, config.d)
+    phi_a = momentum_amplitude("phi", alice, 0.0, lphi)
+    pi_a = momentum_amplitude("pi", alice, 0.0, lpi)
 
     variant = config.bob.variant
     if variant in ("full", "rank1", "none"):
-        s1, s2, s3 = bob_spectra(GaussianSpectrum(config.sigma, config.d), config.delta)
+        s1, s2, s3 = bob_spectra(alice, delta)
     else:
         if config.d != 3:
             raise BadParameter("truncated receivers are implemented for d = 3 only")
-        p1, p2, p3 = _truncated_bob_profiles(config)
-        s1, s2, s3 = (NumericSpectrum(p) for p in (p1, p2, p3))
-    z_b = (momentum_amplitude(FieldObservableSpec("phi", s2, config.delta, config.lambda_phi))
-           + momentum_amplitude(FieldObservableSpec("pi", s1, config.delta, config.lambda_phi)))
-    x_b = (momentum_amplitude(FieldObservableSpec("phi", s3, config.delta, lpi))
-           + momentum_amplitude(FieldObservableSpec("pi", s2, config.delta, lpi)))
+        s1, s2, s3 = (NumericSpectrum(p) for p in _truncated_bob_profiles(config))
+    z_b = momentum_amplitude("phi", s2, delta, lphi) + momentum_amplitude("pi", s1, delta, lphi)
+    x_b = momentum_amplitude("phi", s3, delta, lpi) + momentum_amplitude("pi", s2, delta, lpi)
     if variant == "rank1":
         x_b = x_b.scaled(0.0)
     elif variant == "none":

@@ -78,6 +78,13 @@ def write_plot_script(path: str, csv_path: str, command: str, logx: bool = False
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_io(p: argparse.ArgumentParser, out_help: str, plot_script: bool = True) -> None:
     p.add_argument("--out", default=None, help=out_help)
     p.add_argument("--config", default=None, help="key=value config file; flags override")
@@ -101,7 +108,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_io(p_cap, "output CSV path")
     p_cap.add_argument("--lambda-min", type=float, default=0.1)
     p_cap.add_argument("--lambda-max", type=float, default=1000.0)
-    p_cap.add_argument("--points", type=int, default=30)
+    p_cap.add_argument("--points", type=_positive_int, default=30)
 
     p_sm = sub.add_parser("smearings", help="receiver smearing profiles vs radius")
     _add_io(p_sm, "output CSV path")
@@ -109,7 +116,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_sm.add_argument("--rel-tol", type=float, default=1e-10,
                       help="quadrature relative tolerance (d = 2)")
     p_sm.add_argument("--dimension", type=int, choices=(2, 3), default=3)
-    p_sm.add_argument("--points", type=int, default=401)
+    p_sm.add_argument("--points", type=_positive_int, default=401)
     p_sm.add_argument("--normalize", action="store_true",
                       help="scale each profile to unit peak magnitude")
 
@@ -123,7 +130,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                       help="coupling lambda_phi/sigma: a number, or 'both' for 10 and 1000")
     p_bc.add_argument("--r0-min", type=float, default=2.0)
     p_bc.add_argument("--r0-max", type=float, default=18.0)
-    p_bc.add_argument("--r0-points", type=int, default=17)
+    p_bc.add_argument("--r0-points", type=_positive_int, default=17)
 
     p_vf = sub.add_parser("verify", help="run every invariant suite")
     _add_io(p_vf, "also write the report here", plot_script=False)
@@ -160,7 +167,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, sub_map: dict,
         if isinstance(action, argparse._StoreTrueAction):
             overrides[key] = value.lower() in ("1", "true", "yes")
         elif action.type is not None:
-            overrides[key] = action.type(value)
+            try:
+                overrides[key] = action.type(value)
+                if action.choices is not None and overrides[key] not in action.choices:
+                    raise ValueError
+            except (ValueError, argparse.ArgumentTypeError):
+                parser.error(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
         else:
             overrides[key] = value
     sub.set_defaults(**overrides)
@@ -212,7 +224,11 @@ def _broadcast_out_path(base: str, lam: float) -> str:
 
 def run_broadcast(args) -> int:
     out = args.out or "broadcast.csv"
-    lams = (10.0, 1000.0) if str(args.lambda_phi) == "both" else (float(args.lambda_phi),)
+    try:
+        lams = (10.0, 1000.0) if args.lambda_phi == "both" else (float(args.lambda_phi),)
+    except ValueError:
+        raise BadParameter(f"--lambda-phi must be a number or 'both', "
+                           f"got {args.lambda_phi!r}") from None
     grid = np.linspace(args.r0_min, args.r0_max, args.r0_points)
     written = []
     for lam in lams:
@@ -233,14 +249,14 @@ def run_broadcast(args) -> int:
 def run_verify(args) -> int:
     results = verify_mod.run_suites(w_sign_flip=args.mutate_w_sign)
     lines = []
-    for r in results:
+    for name, r in results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"suite={r.name} status={status} worst={r.worst:.6e}"
+        line = f"suite={name} status={status} worst={r.worst:.6e}"
         if r.detail:
             line += f" {r.detail}"
         lines.append(line)
         print(line)
-    n_fail = sum(not r.passed for r in results)
+    n_fail = sum(not r.passed for _, r in results)
     summary = f"suites={len(results)} failures={n_fail}"
     print(summary)
     if args.out:

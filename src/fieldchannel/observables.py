@@ -27,13 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParameter
-from .smearing import (
-    DEFAULT_REL_TOL,
-    NumericSpectrum,
-    RadialProfile,
-    SpectralProfile,
-    complex_quadrature,
-)
+from .smearing import DEFAULT_REL_TOL, SpectralProfile, complex_quadrature
 
 SOLID_ANGLE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -45,35 +39,12 @@ MAX_EXPONENT_STRING = 8
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FieldObservableSpec:
-    """One smeared field coupling: quadrature kind, spatial profile, time, strength."""
-
-    kind: str                 # "phi" or "pi"
-    profile: object           # RadialProfile or SpectralProfile
-    time: float = 0.0
-    coupling: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("phi", "pi"):
-            raise BadParameter(f"kind must be 'phi' or 'pi', got {self.kind!r}")
-
-    def spectrum(self) -> SpectralProfile:
-        if isinstance(self.profile, SpectralProfile):
-            return self.profile
-        if isinstance(self.profile, RadialProfile):
-            analytic = self.profile.spectrum()
-            return analytic if analytic is not None else NumericSpectrum(self.profile)
-        raise BadParameter(f"unsupported profile type {type(self.profile)!r}")
-
-
-@dataclass(frozen=True)
 class SpectralAmplitude:
     """Complex coherent amplitude b(k) on [0, k_max] in d dimensions."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     d: int
     k_max: float
-    label: str = ""
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
@@ -84,33 +55,33 @@ class SpectralAmplitude:
             raise BadParameter("cannot add amplitudes of different dimension")
         f, g = self.fn, other.fn
         return SpectralAmplitude(lambda k: np.asarray(f(k), complex) + np.asarray(g(k), complex),
-                                 self.d, max(self.k_max, other.k_max),
-                                 label=f"{self.label}+{other.label}")
+                                 self.d, max(self.k_max, other.k_max))
 
     def scaled(self, factor: complex) -> "SpectralAmplitude":
         f = self.fn
-        return SpectralAmplitude(lambda k: factor * np.asarray(f(k), complex),
-                                 self.d, self.k_max, label=self.label)
+        return SpectralAmplitude(lambda k: factor * np.asarray(f(k), complex), self.d, self.k_max)
 
 
-def momentum_amplitude(spec: FieldObservableSpec) -> SpectralAmplitude:
-    """Coherent amplitude of a smeared observable; see module docstring.
+def momentum_amplitude(kind: str, spectrum: SpectralProfile, time: float = 0.0,
+                       coupling: float = 1.0) -> SpectralAmplitude:
+    """Coherent amplitude of the smeared observable coupling * kind[F](time),
+    kind "phi" or "pi", with F given by its spectrum; see module docstring.
 
     The 1/sqrt(w) factor diverges at k = 0 but is integrable under the
     d^dk measure; integration grids never place nodes at exactly zero.
     """
-    spectrum = spec.spectrum()
-    lam, t, kind = spec.coupling, spec.time, spec.kind
+    if kind not in ("phi", "pi"):
+        raise BadParameter(f"kind must be 'phi' or 'pi', got {kind!r}")
 
     def fn(k):
         k = np.asarray(k, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            base = lam * spectrum(k) * np.exp(-1j * k * t) / np.sqrt(2.0 * k)
+            base = coupling * spectrum(k) * np.exp(-1j * k * time) / np.sqrt(2.0 * k)
             if kind == "pi":
                 base = -1j * k * base
         return np.where(k > 0.0, base, 0.0)
 
-    return SpectralAmplitude(fn, spectrum.d, spectrum.k_max, label=f"{kind}[{lam}]@{t}")
+    return SpectralAmplitude(fn, spectrum.d, spectrum.k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +214,6 @@ GAMMA_TOL = 1e-12
 STRONG_RATIO_THRESHOLD = 100.0
 
 
-def gamma_value(sigma: float, lambda_phi: float, lambda_pi: float, d: int = 3) -> float:
-    """gamma_A = lphi lpi int |F~_A|^2 d^dk for the Gaussian smearing."""
-    return gaussian_overlap_moments(sigma, lambda_phi, lambda_pi, d)[2]
-
-
 def gamma_rule_lambda_pi(lambda_phi: float, sigma: float, d: int = 3) -> float:
     """Smallest positive lambda_pi with gamma_A = pi/4 (mod 2 pi).
 
@@ -255,7 +221,7 @@ def gamma_rule_lambda_pi(lambda_phi: float, sigma: float, d: int = 3) -> float:
     """
     if lambda_phi <= 0:
         raise BadParameter("gamma rule needs lambda_phi > 0")
-    unit = gamma_value(sigma, lambda_phi, 1.0, d)
+    unit = gaussian_overlap_moments(sigma, lambda_phi, 1.0, d)[2]
     return (np.pi / 4.0) / unit
 
 

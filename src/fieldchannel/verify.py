@@ -18,14 +18,13 @@ from . import channel, observables, propagation, qmath, smearing
 
 @dataclass(frozen=True)
 class SuiteResult:
-    name: str
     passed: bool
     worst: float
     detail: str = ""
 
 
-def _result(name, worst, bound, detail=""):
-    return SuiteResult(name, bool(worst <= bound), float(worst), detail)
+def _result(worst, bound, detail=""):
+    return SuiteResult(bool(worst <= bound), float(worst), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ def suite_entropy_axioms(samples: int = 200) -> SuiteResult:
         s_sum = qmath.von_neumann_entropy(rc) + qmath.von_neumann_entropy(rb)
         worst = max(worst, abs(qmath.von_neumann_entropy(prod) - s_sum))
         worst = max(worst, -min(0.0, qmath.von_neumann_entropy(rc)))
-    return _result("qmath-entropy-axioms", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_concavity(samples: int = 1000) -> SuiteResult:
@@ -56,7 +55,7 @@ def suite_concavity(samples: int = 1000) -> SuiteResult:
                - lam * qmath.conditional_entropy(r1)
                - (1 - lam) * qmath.conditional_entropy(r2))
         worst = max(worst, -gap)
-    return _result("qmath-concavity", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_separable_bound(samples: int = 1000) -> SuiteResult:
@@ -64,7 +63,7 @@ def suite_separable_bound(samples: int = 1000) -> SuiteResult:
     for i in range(samples):
         rho = qmath.random_separable_state(n_terms=1 + i % 6, seed=i)
         worst = max(worst, qmath.coherent_information(rho))
-    return _result("qmath-separable-bound", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_eigen_residuals(samples: int = 200) -> SuiteResult:
@@ -77,7 +76,7 @@ def suite_eigen_residuals(samples: int = 200) -> SuiteResult:
         ev, vec = np.linalg.eigh(h)
         for j in range(dim):
             worst = max(worst, np.linalg.norm(h @ vec[:, j] - ev[j] * vec[:, j]))
-    return _result("qmath-eigen-residuals", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ def suite_transform_roundtrip() -> SuiteResult:
         rs = np.linspace(0.0, 8.0, 9)
         peak = np.max(np.abs(prof(rs)))
         worst = max(worst, np.max(np.abs(back(rs) - prof(rs))) / peak)
-    return _result("smearing-roundtrip", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
 def suite_parseval() -> SuiteResult:
@@ -119,7 +118,7 @@ def suite_parseval() -> SuiteResult:
         mom = smearing.adaptive_quadrature(
             lambda k: omega * k**p * spec(k) ** 2, 0.0, spec.k_max, 1e-11)
         worst = max(worst, abs(pos - mom) / abs(pos))
-    return _result("smearing-parseval", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
 def suite_oscillatory_quadrature() -> SuiteResult:
@@ -140,7 +139,7 @@ def suite_oscillatory_quadrature() -> SuiteResult:
         lambda k: np.exp(-a * k * k) * np.cos(delta * k), 0.0, np.inf,
         rel_tol=1e-12, abs_floor=1e-13)
     worst = max(worst, abs(got_cos) / 1e-13 * 1e-10)
-    return _result("smearing-oscillatory", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +147,13 @@ def suite_oscillatory_quadrature() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def _sample_amplitudes():
-    prof3 = smearing.GaussianProfile(1.0, 3)
-    prof2 = smearing.GaussianProfile(0.7, 2)
+    spec3 = smearing.GaussianSpectrum(1.0, 3)
+    spec2 = smearing.GaussianSpectrum(0.7, 2)
     return [
-        observables.momentum_amplitude(observables.FieldObservableSpec("phi", prof3, 0.0, 1.3)),
-        observables.momentum_amplitude(observables.FieldObservableSpec("pi", prof3, 0.4, 0.8)),
-        observables.momentum_amplitude(observables.FieldObservableSpec("phi", prof2, 1.0, 2.0)),
-        observables.momentum_amplitude(observables.FieldObservableSpec("pi", prof2, 0.0, 1.0)),
+        observables.momentum_amplitude("phi", spec3, 0.0, 1.3),
+        observables.momentum_amplitude("pi", spec3, 0.4, 0.8),
+        observables.momentum_amplitude("phi", spec2, 1.0, 2.0),
+        observables.momentum_amplitude("pi", spec2, 0.0, 1.0),
     ]
 
 
@@ -167,7 +166,7 @@ def suite_conjugate_symmetry() -> SuiteResult:
         w_ab = observables.overlap_W(a, b)
         w_ba = observables.overlap_W(b, a)
         worst = max(worst, abs(w_ab - np.conj(w_ba)) / max(abs(w_ab), 1e-30))
-    return _result("observables-conjugate-symmetry", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_positivity() -> SuiteResult:
@@ -182,7 +181,7 @@ def suite_positivity() -> SuiteResult:
     for s in strings:
         mag = abs(observables.wick_expectation(s))
         worst = max(worst, mag - 1.0)
-    return _result("observables-positivity", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 def suite_closed_vs_quadrature() -> SuiteResult:
@@ -190,11 +189,9 @@ def suite_closed_vs_quadrature() -> SuiteResult:
     sigma = 1.0
     for lphi in (1.0, 10.0, 100.0):
         lpi = observables.gamma_rule_lambda_pi(lphi, sigma)
-        prof = smearing.GaussianProfile(sigma, 3)
-        phi = observables.momentum_amplitude(
-            observables.FieldObservableSpec("phi", prof, 0.0, lphi))
-        pi = observables.momentum_amplitude(
-            observables.FieldObservableSpec("pi", prof, 0.0, lpi))
+        spec = smearing.GaussianSpectrum(sigma, 3)
+        phi = observables.momentum_amplitude("phi", spec, 0.0, lphi)
+        pi = observables.momentum_amplitude("pi", spec, 0.0, lpi)
         for x_l, z_l, x_m, z_m in itertools.product((1, -1), repeat=4):
             closed = observables.gaussian_w_matrix(
                 (x_l, x_m), (z_l, z_m), sigma, lphi, lpi)[0, 1]
@@ -202,7 +199,7 @@ def suite_closed_vs_quadrature() -> SuiteResult:
             m_amp = phi.scaled(z_m) + pi.scaled(x_m)
             quad = observables.overlap_W(l_amp, m_amp, rel_tol=1e-12)
             worst = max(worst, abs(quad - closed) / abs(closed))
-    return _result("observables-closed-vs-quadrature", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
 def _eight_vs_merged(sigma, lphi, lpi, xs, zs, flip_sign: bool):
@@ -218,7 +215,7 @@ def _eight_vs_merged(sigma, lphi, lpi, xs, zs, flip_sign: bool):
     val8 = np.exp(-(np.triu(w8, 1).sum() + 0.5 * np.trace(w8)))
 
     w4 = observables.gaussian_w_matrix(xs, zs, sigma, lphi, lpi)
-    gamma = observables.gamma_value(sigma, lphi, lpi)
+    gamma = observables.gaussian_overlap_moments(sigma, lphi, lpi)[2]
     c = -0.5j * gamma
     bch = np.exp((x1 * z1 - x2 * z2 + x3 * z3 - x4 * z4) * c)
     val4 = bch * np.exp(-(np.triu(w4, 1).sum() + 0.5 * np.trace(w4)))
@@ -236,7 +233,7 @@ def suite_bch_consistency(flip_sign: bool = False, samples: int = 50) -> SuiteRe
         zs = rng.choice([1, -1], size=4)
         v8, v4 = _eight_vs_merged(sigma, lphi, lpi, xs, zs, flip_sign)
         worst = max(worst, abs(v8 - v4) / max(abs(v4), 1e-300))
-    return _result("observables-bch-consistency", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 def suite_theorem1_amplitudes() -> SuiteResult:
@@ -247,7 +244,7 @@ def suite_theorem1_amplitudes() -> SuiteResult:
     peak_pi = np.max(np.abs(pi_a(ks)))
     worst = max(np.max(np.abs(z_b(ks) - phi_a(ks))) / peak_phi,
                 np.max(np.abs(x_b(ks) - pi_a(ks))) / peak_pi)
-    return _result("observables-theorem1-amplitude", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def suite_lightcone_3d() -> SuiteResult:
         mass = np.abs(prof(rs)) * rs**2
         frac_out = 1.0 - np.trapezoid(mass[shell], rs[shell]) / np.trapezoid(mass, rs)
         worst = max(worst, frac_out)
-    return _result("propagation-lightcone-3d", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 def suite_interior_2d() -> SuiteResult:
@@ -274,8 +271,7 @@ def suite_interior_2d() -> SuiteResult:
     peak = np.max(np.abs(vals))
     ratio = abs(fb1(delta / 2.0)) / peak
     # interior support present (polynomial suppression): ratio far above 1e-3
-    return _result("propagation-interior-2d", 1e-3 / ratio, 1.0,
-                   detail=f"ratio={ratio:.3e}")
+    return _result(1e-3 / ratio, 1.0, detail=f"ratio={ratio:.3e}")
 
 
 def suite_dual_route_3d(points: int = 200) -> SuiteResult:
@@ -289,7 +285,7 @@ def suite_dual_route_3d(points: int = 200) -> SuiteResult:
         peak = np.max(np.abs(ref))
         got = numeric(rs)
         worst = max(worst, np.max(np.abs(got - ref)) / peak)
-    return _result("propagation-dual-route-3d", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 def suite_dual_route_2d(points: int = 50) -> SuiteResult:
@@ -300,7 +296,7 @@ def suite_dual_route_2d(points: int = 50) -> SuiteResult:
     numeric = numeric_prof(rs)
     peak = np.max(np.abs(closed))
     worst = np.max(np.abs(numeric - closed)) / peak
-    return _result("propagation-dual-route-2d", worst, 1e-4)
+    return _result(worst, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +315,7 @@ def suite_state_validity() -> SuiteResult:
                     np.max(np.abs(m - m.conj().T)),
                     abs(np.trace(m).real - 1.0),
                     -float(np.linalg.eigvalsh(m).min()))
-    return _result("channel-state-validity", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_perfect_reduction() -> SuiteResult:
@@ -333,7 +329,7 @@ def suite_perfect_reduction() -> SuiteResult:
         full = channel.ChannelConfig(lambda_phi=lphi)
         rho_closed = channel.assemble_rho(channel.overlap_matrix(full))
         worst = max(worst, np.max(np.abs(rho_general - rho_closed)))
-    return _result("channel-perfect-reduction", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 def suite_rank1_null() -> SuiteResult:
@@ -343,22 +339,21 @@ def suite_rank1_null() -> SuiteResult:
             channel.ChannelConfig(lambda_phi=lphi, lambda_pi=0.0)))
         worst = max(worst, channel.coherent_info_of(
             channel.ChannelConfig(lambda_phi=lphi, bob=channel.BobSpec("rank1"))))
-    return _result("channel-rank1-null", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def suite_no_simultaneous_broadcast() -> SuiteResult:
     cfg = channel.ChannelConfig(lambda_phi=10.0, bob=channel.BobSpec(eps=0.1))
     rows = channel.broadcast_sweep([6.0, 10.0, 14.0], cfg)
     worst = max(min(ic1, ic2) for _, ic1, ic2 in rows)
-    return _result("channel-no-simultaneous-broadcast", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 def suite_complementarity() -> SuiteResult:
     full_ic = channel.coherent_info_of(channel.ChannelConfig(lambda_phi=10.0))
     outer = channel.ChannelConfig(
         lambda_phi=10.0, bob=channel.BobSpec("truncated_outer", r0=0.5, eps=0.05))
-    return _result("channel-complementarity",
-                   abs(channel.coherent_info_of(outer) - full_ic), 1e-3)
+    return _result(abs(channel.coherent_info_of(outer) - full_ic), 1e-3)
 
 
 def suite_reference_untouched() -> SuiteResult:
@@ -371,7 +366,7 @@ def suite_reference_untouched() -> SuiteResult:
     for cfg in configs:
         rho_c = qmath.partial_trace(channel.rho_cb(cfg).rho_cb, "C")
         worst = max(worst, float(np.max(np.abs(rho_c - np.eye(2) / 2))))
-    return _result("channel-reference-untouched", worst, 1e-11)
+    return _result(worst, 1e-11)
 
 
 ALL_SUITES = (
@@ -400,16 +395,8 @@ ALL_SUITES = (
 )
 
 
-def run_suites(w_sign_flip: bool = False,
-               names: set[str] | None = None) -> list[SuiteResult]:
-    """Run the invariant suites (all of them, or the subset in `names`);
-    w_sign_flip injects the test-fixture mutation into the BCH check."""
-    results = []
-    for name, fn in ALL_SUITES:
-        if names is not None and name not in names:
-            continue
-        if fn is suite_bch_consistency:
-            results.append(fn(flip_sign=w_sign_flip))
-        else:
-            results.append(fn())
-    return results
+def run_suites(w_sign_flip: bool = False) -> list[tuple[str, SuiteResult]]:
+    """(name, result) for every suite in ALL_SUITES; w_sign_flip injects
+    the test-fixture mutation into the BCH check."""
+    return [(name, fn(flip_sign=w_sign_flip) if fn is suite_bch_consistency else fn())
+            for name, fn in ALL_SUITES]

@@ -71,11 +71,9 @@ def test_criterion_4_gaussian_algebra_oracles():
     worst_w = 0.0
     for lphi in (1.0, 10.0, 100.0):
         lpi = observables.gamma_rule_lambda_pi(lphi, sigma)
-        prof = smearing.GaussianProfile(sigma, 3)
-        phi = observables.momentum_amplitude(
-            observables.FieldObservableSpec("phi", prof, 0.0, lphi))
-        pi = observables.momentum_amplitude(
-            observables.FieldObservableSpec("pi", prof, 0.0, lpi))
+        spec = smearing.GaussianSpectrum(sigma, 3)
+        phi = observables.momentum_amplitude("phi", spec, 0.0, lphi)
+        pi = observables.momentum_amplitude("pi", spec, 0.0, lpi)
         for x_l, z_l, x_m, z_m in itertools.product((1, -1), repeat=4):
             closed = observables.gaussian_w_matrix(
                 (x_l, x_m), (z_l, z_m), sigma, lphi, lpi)[0, 1]

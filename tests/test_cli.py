@@ -190,6 +190,27 @@ def test_capacity_grid_bounds_checked_before_use(flag, value, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+# inputs each rejected before any work: (argv, config file text or None)
+BAD_INPUTS = [
+    ("capacity --points -1", None), ("capacity --points 0", None),
+    ("smearings --points -1", None), ("broadcast --r0-points -1", None),
+    ("broadcast --kmax 0", None), ("broadcast --kmax -5", None),
+    ("broadcast --lambda-phi abc", None),
+    ("capacity", "points = abc"), ("smearings", "dimension = 4"),
+]
+
+
+@pytest.mark.parametrize("argv,config", BAD_INPUTS,
+                         ids=[a if c is None else f"{a} [{c}]" for a, c in BAD_INPUTS])
+def test_bad_input_exits_2(argv, config, tmp_path):
+    args = [*argv.split(), "--out", str(tmp_path / "out.csv")]
+    if config is not None:
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(config + "\n", encoding="utf-8")
+        args += ["--config", str(cfgfile)]
+    assert cli.main(args) == 2
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_flags_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -213,21 +234,35 @@ class TestConfigFile:
 
 
 class TestVerify:
-    def test_clean_run_passes(self, tmp_path, capsys):
-        report = tmp_path / "verify.txt"
-        code = cli.main(["verify", "--out", str(report)])
-        captured = capsys.readouterr().out
-        assert code == 0
-        suite_lines = [l for l in captured.splitlines() if l.startswith("suite=")]
-        assert len(suite_lines) >= 12
-        assert all("status=PASS" in l for l in suite_lines)
-        assert report.exists()
+    """The command's plumbing over two cheap suites; tests/test_verify.py
+    runs every suite."""
 
-    def test_w_sign_mutation_caught(self):
-        results = verify.run_suites(w_sign_flip=True,
-                                    names={"observables-bch-consistency"})
-        assert len(results) == 1
-        assert not results[0].passed
+    SUITES = ("qmath-entropy-axioms", "observables-bch-consistency")
+
+    def run(self, monkeypatch, tmp_path, capsys, *flags):
+        monkeypatch.setattr(verify, "ALL_SUITES", tuple(
+            (name, fn) for name, fn in verify.ALL_SUITES if name in self.SUITES))
+        report = tmp_path / "verify.txt"
+        code = cli.main(["verify", *flags, "--out", str(report)])
+        printed = capsys.readouterr().out
+        assert report.read_text(encoding="utf-8") == printed
+        *suite_lines, summary = printed.splitlines()
+        assert [line.split()[0] for line in suite_lines] == [f"suite={n}" for n in self.SUITES]
+        return code, suite_lines, summary
+
+    def test_clean_run_passes(self, monkeypatch, tmp_path, capsys):
+        code, suite_lines, summary = self.run(monkeypatch, tmp_path, capsys)
+        assert code == 0
+        assert all(" status=PASS " in line for line in suite_lines)
+        assert summary == "suites=2 failures=0"
+
+    def test_w_sign_mutation_exits_1(self, monkeypatch, tmp_path, capsys):
+        code, suite_lines, summary = self.run(monkeypatch, tmp_path, capsys,
+                                              "--mutate-w-sign")
+        assert code == 1
+        assert " status=PASS " in suite_lines[0]
+        assert " status=FAIL " in suite_lines[1]
+        assert summary == "suites=2 failures=1"
 
     def test_unknown_subcommand_exits_2(self):
         assert cli.main(["prophesy"]) == 2

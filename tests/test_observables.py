@@ -14,7 +14,7 @@ from fieldchannel.errors import BadParameter
 signs = st.sampled_from((1, -1))
 couplings = st.floats(0.05, 50.0)
 
-GAUSS_3D = smearing.GaussianProfile(1.0, 3)
+GAUSS_3D = smearing.GaussianSpectrum(1.0, 3)
 
 
 def closed_w(x_l, z_l, x_m, z_m, sigma, lphi, lpi):
@@ -22,12 +22,12 @@ def closed_w(x_l, z_l, x_m, z_m, sigma, lphi, lpi):
     return obs.gaussian_w_matrix((x_l, x_m), (z_l, z_m), sigma, lphi, lpi)[0, 1]
 
 
-def phi_amp(coupling=1.0, time=0.0, profile=GAUSS_3D):
-    return obs.momentum_amplitude(obs.FieldObservableSpec("phi", profile, time, coupling))
+def phi_amp(coupling=1.0, time=0.0):
+    return obs.momentum_amplitude("phi", GAUSS_3D, time, coupling)
 
 
-def pi_amp(coupling=1.0, time=0.0, profile=GAUSS_3D):
-    return obs.momentum_amplitude(obs.FieldObservableSpec("pi", profile, time, coupling))
+def pi_amp(coupling=1.0, time=0.0):
+    return obs.momentum_amplitude("pi", GAUSS_3D, time, coupling)
 
 
 class TestMomentumAmplitude:
@@ -49,18 +49,7 @@ class TestMomentumAmplitude:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(BadParameter):
-            obs.FieldObservableSpec("sigma", GAUSS_3D)
-
-    def test_spectrum_is_analytic_where_known_else_quadrature(self):
-        shell = smearing.GaussianShellProfile(1.0, 4.0, 1)
-        windowed = smearing.WindowedProfile(shell, smearing.SmoothStep(4.0, 0.1, "inner"))
-        spec = lambda profile: obs.FieldObservableSpec("phi", profile).spectrum()
-        assert spec(GAUSS_3D) == smearing.GaussianSpectrum(1.0, 3)
-        assert spec(shell) == smearing.PropagatedSpectrum(
-            smearing.GaussianSpectrum(1.0, 3), 4.0, "cos")
-        assert spec(windowed) == smearing.NumericSpectrum(windowed)
-        given_spectrum = smearing.GaussianSpectrum(2.0, 2)
-        assert spec(given_spectrum) is given_spectrum
+            obs.momentum_amplitude("sigma", GAUSS_3D)
 
 
 class TestOverlapW:
@@ -90,8 +79,7 @@ class TestOverlapW:
             assert abs(w.imag) < 1e-14
 
     def test_dimension_mismatch(self):
-        other = obs.momentum_amplitude(
-            obs.FieldObservableSpec("phi", smearing.GaussianProfile(1.0, 2)))
+        other = obs.momentum_amplitude("phi", smearing.GaussianSpectrum(1.0, 2))
         with pytest.raises(BadParameter):
             obs.overlap_W(phi_amp(), other)
 
@@ -207,7 +195,7 @@ class TestWickExpectation:
     def test_rejects_mixed_kmax(self):
         shell = smearing.GaussianShellProfile(1.0, 3.0, 0)
         windowed = smearing.WindowedProfile(shell, smearing.SmoothStep(2.0, 0.1, "inner"))
-        other = obs.momentum_amplitude(obs.FieldObservableSpec("phi", windowed))
+        other = obs.momentum_amplitude("phi", smearing.NumericSpectrum(windowed))
         with pytest.raises(BadParameter):
             obs.wick_expectation([(1, phi_amp()), (1, other)])
 

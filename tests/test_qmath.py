@@ -177,14 +177,6 @@ class TestRandomStates:
                   for s in range(1000)]
         assert np.mean(traces) == pytest.approx(1.0, abs=1e-13)
 
-    def test_entropy_additive_on_products(self):
-        for seed in range(50):
-            rc = qmath.random_density_matrix(2, seed=2 * seed)
-            rb = qmath.random_density_matrix(2, seed=2 * seed + 1)
-            combined = qmath.von_neumann_entropy(np.kron(rc.matrix, rb.matrix))
-            assert combined == pytest.approx(
-                qmath.von_neumann_entropy(rc) + qmath.von_neumann_entropy(rb), abs=1e-9)
-
     def test_separable_single_term_is_product(self):
         rho = qmath.random_separable_state(n_terms=1, seed=3)
         assert qmath.coherent_information(rho) == pytest.approx(0.0, abs=1e-12)
