@@ -10,6 +10,12 @@ from fieldchannel.channel import BobSpec, ChannelConfig
 from fieldchannel.errors import BadParameter
 
 
+def validate_state(m, tol=1e-9):
+    assert np.max(np.abs(m - m.conj().T)) <= tol
+    assert abs(np.trace(m).real - 1.0) <= tol
+    assert np.linalg.eigvalsh(m).min() >= -tol
+
+
 class TestConfig:
     def test_gamma_rule_default(self):
         cfg = ChannelConfig(lambda_phi=100.0)
@@ -94,6 +100,16 @@ class TestRhoCB:
     def test_no_receiver_is_trivial(self):
         res = channel.rho_cb(ChannelConfig(lambda_phi=10.0, bob=BobSpec("none")))
         assert res.coherent_info == pytest.approx(-1.0, abs=1e-9)
+
+    def test_states_valid_across_couplings(self):
+        for lphi in (0.0, 0.1, 1.0, 10.0, 1000.0):
+            res = channel.rho_cb(ChannelConfig(lambda_phi=lphi))
+            validate_state(res.rho_cb.matrix)
+
+    def test_truncated_state_valid(self):
+        res = channel.rho_cb(ChannelConfig(
+            lambda_phi=10.0, bob=BobSpec("truncated_outer", r0=6.0, eps=0.1)))
+        validate_state(res.rho_cb.matrix)
 
     def test_coherent_info_of_matches_state(self):
         cfg = ChannelConfig(lambda_phi=10.0)
