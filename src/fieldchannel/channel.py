@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+import scipy.special
 
 from . import qmath
 from .errors import BadParameter
@@ -47,23 +48,19 @@ from .observables import (
 from .propagation import bob_profiles_3d, bob_spectra
 from .qmath import DensityMatrix, coherent_information
 from .smearing import (
+    SQRT_2_OVER_PI,
     GaussianSpectrum,
-    NumericSpectrum,
     SmoothStep,
-    WindowedProfile,
-    _legendre_rule,
+    SpectralProfile,
     default_k_max,
     gauss_legendre_panels,
 )
 
-SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-
 BOB_VARIANTS = ("full", "truncated_inner", "truncated_outer", "rank1", "none")
 
-# nodes per panel of the deterministic composite Gauss-Legendre k and r
-# grids on the truncated path
+# nodes per panel of the deterministic composite Gauss-Legendre rules on
+# the truncated path (the k grid and the short residual rule in r)
 K_NODES = 16
-R_NODES = 32
 
 # slot -> base observable, in the fixed string order
 # [z1 phiA, x1 piA, x2 X_B, z2 Z_B, z3 Z_B, x3 X_B, x4 piA, z4 phiA]
@@ -207,63 +204,97 @@ def _v_base_closed_form(config: ChannelConfig) -> np.ndarray:
     return v
 
 
-def _truncated_bob_profiles(config: ChannelConfig):
-    side = "inner" if config.bob.variant == "truncated_inner" else "outer"
-    window = SmoothStep(config.bob.r0, config.bob.eps, side)
-    return [WindowedProfile(p, window)
-            for p in bob_profiles_3d(config.sigma, config.delta)]
+@dataclass(frozen=True)
+class WindowedShellSpectrum(SpectralProfile):
+    """Spectrum of F_B(order+1) of bob_profiles_3d times an erf window, in
+    closed form (d = 3); all_orders(k) gives all three, shape (len(k), 3).
 
-
-def _windowed_spectra(config: ChannelConfig, k_values: np.ndarray) -> np.ndarray:
-    """(len(k), 3) spectra of the three windowed receiver profiles at k > 0,
-    over a composite Gauss-Legendre r grid.
-
-    The panel length keeps the phase advance of sin(k_max r) well inside
-    the rule's resolution (about 1.5 nodes per radian of margin); accuracy
-    is confirmed by node-doubling tests and against the adaptive route.
-
-    The kernel r^2 sin(kr)/(kr) = (r/k) sin(kr) is never formed. Every node
-    is r = m_p + h x_j (panel midpoint m_p, common half-width h, base node
-    x_j), so sin(k r) = sin(k m_p) cos(k h x_j) + cos(k m_p) sin(k h x_j):
-    two (k x j) and two (k x panel) trig tables, two matrix products over
-    the base nodes and one contraction over the panels. Panels whose
-    coefficients all lie below 1e-22 of the peak are dropped whole.
+    r F_B1 = p [g(r + Delta) - g(r - Delta)] with g(u) = e^{-u^2/s^2}, and
+    F_B2, F_B3 are its first two Delta-derivatives (up to sign). Over the
+    whole line, int g(r - mu) erf((r0 - r)/eps) e^{ikr} dr = s sqrt(pi)
+    E erf(z) (Owen's Gaussian-normal-CDF integral, complex shift), E =
+    e^{ik mu - k^2 s^2/4}, z = (r0 - mu - ik s^2/2)/sqrt(eps^2 + s^2); with
+    t = sign(Re z), E erf(z) = t E - t E e^{-z^2} w(t i z), w the Faddeeva
+    function. The t E parts sum to the full-receiver spectrum or to zero,
+    so no O(1) terms cancel. The half-line transform adds R(k) =
+    int_0^inf r F sin(kr) erfc((r0 + r)/eps) dr wherever its bound exceeds
+    1e-16 of a spectrum's peak over the requested k (see README).
     """
-    sigma, delta, nodes = config.sigma, config.delta, R_NODES
-    r_panel = min(sigma / 4.0, 1.5 * nodes / config.resolved_k_max)
-    r_lo, r_hi = max(0.0, delta - 9.0 * sigma), delta + 9.0 * sigma
-    rg, rw = gauss_legendre_panels(r_lo, r_hi, r_panel, nodes)
-    profiles = _truncated_bob_profiles(config)
-    # (panel, node, profile) coefficients of sin(k r)
-    coefs = np.stack([rw * rg * p(rg) for p in profiles], axis=1).reshape(-1, nodes, 3)
-    peak = np.max(np.abs(coefs))
-    if peak == 0.0:
-        return np.zeros((len(k_values), 3))
-    keep = np.abs(coefs).max(axis=(1, 2)) > 1e-22 * peak
-    panels = rg.reshape(-1, nodes)[keep]
-    # Gauss-Legendre nodes are symmetric about each panel's midpoint
-    mid = 0.5 * (panels[:, 0] + panels[:, -1])
-    offsets = 0.5 * (r_hi - r_lo) / len(keep) * _legendre_rule(nodes)[0]
-    k = np.asarray(k_values, dtype=float)[:, None]
-    by_node = coefs[keep].transpose(1, 0, 2).reshape(nodes, -1)
-    cos_part = (np.cos(k * offsets) @ by_node).reshape(len(k), -1, 3)
-    sin_part = (np.sin(k * offsets) @ by_node).reshape(len(k), -1, 3)
-    spectra = (np.sin(k * mid)[:, None, :] @ cos_part
-               + np.cos(k * mid)[:, None, :] @ sin_part)[:, 0, :]
-    return SQRT_2_OVER_PI * spectra / k
+
+    sigma: float
+    delta: float
+    window: SmoothStep
+    order: int = 0
+    d = 3
+
+    @property
+    def k_max(self) -> float:
+        return default_k_max(self.sigma, windowed=True)
+
+    def __call__(self, k):
+        k = np.asarray(k, dtype=float)
+        return self.all_orders(k)[:, self.order].reshape(k.shape)
+
+    def all_orders(self, k) -> np.ndarray:
+        k = np.atleast_1d(k)
+        sigma, delta, r0, eps = self.sigma, self.delta, self.window.r0, self.window.eps
+        c2 = sigma * sigma + eps * eps
+        b = 0.5 * sigma * sigma * k
+        corr = np.zeros((3, len(k)), dtype=complex)
+        # each centre with the signs of its correction terms in F_B1..F_B3
+        for mu, signs in ((-delta, (1.0, 1.0, -1.0)), (delta, (-1.0, 1.0, 1.0))):
+            a = r0 - mu
+            t = 1.0 if a >= 0.0 else -1.0
+            # E e^{-z^2} with the exponents combined
+            ed = np.exp(-(k * sigma * eps) ** 2 / (4.0 * c2) - a * a / c2
+                        + 1j * (mu + a * sigma * sigma / c2) * k)
+            dw = t * ed * scipy.special.wofz((t * b + 1j * abs(a)) / math.sqrt(c2))
+            ed *= 2.0 / math.sqrt(np.pi * c2)
+            corr[0] -= signs[0] * dw
+            corr[1] -= signs[1] * (1j * k * dw + ed)
+            corr[2] -= signs[2] * (k * k * dw - ed * (2j * k + 2.0 * (a - 1j * b) / c2))
+        # p s sqrt(pi) = 1/(4 pi), and a window is 1/2 (1 +- erf)
+        sign = 1.0 if self.window.side == "inner" else -1.0
+        spectra = sign * SQRT_2_OVER_PI / (8.0 * np.pi) * corr.imag.T / k[:, None]
+        if (sign > 0) == (r0 >= delta):
+            full = bob_spectra(GaussianSpectrum(sigma, 3), delta)
+            spectra += np.stack([s(k) for s in full], axis=1)
+        return spectra + 0.5 * sign * self._residual(k, np.max(np.abs(spectra), axis=0))
+
+    def _residual(self, k, peaks):
+        """sqrt(2/pi) R(k)/k, or 0 below 1e-16 of every peak. The integrand
+        lies under a Gaussian narrower than eps centred at
+        r* = (Delta eps^2 - r0 s^2)/(s^2 + eps^2)."""
+        sigma, delta, r0, eps = self.sigma, self.delta, self.window.r0, self.window.eps
+        r_hi = max(delta * eps**2 - r0 * sigma**2, 0.0) / (sigma**2 + eps**2) + 9.0 * eps
+        panel = min(eps, sigma / 4.0, 1.5 * K_NODES / np.max(k))
+        rg, rw = gauss_legendre_panels(0.0, r_hi, panel, K_NODES)
+        coefs = np.stack([rw * rg * scipy.special.erfc((r0 + rg) / eps) * p(rg)
+                          for p in bob_profiles_3d(sigma, delta)], axis=1)
+        # |sin(kr)/k| <= r
+        if np.all(SQRT_2_OVER_PI * (rg @ np.abs(coefs)) <= 1e-16 * peaks):
+            return 0.0
+        return SQRT_2_OVER_PI * (np.sin(np.outer(k, rg)) @ coefs) / k[:, None]
+
+
+def truncated_spectrum(config: ChannelConfig, order: int = 0) -> WindowedShellSpectrum:
+    """The windowed receiver spectrum of a truncated receiver."""
+    side = "inner" if config.bob.variant == "truncated_inner" else "outer"
+    return WindowedShellSpectrum(config.sigma, config.delta,
+                                 SmoothStep(config.bob.r0, config.bob.eps, side), order)
 
 
 def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
-    """4x4 overlap matrix for a truncated receiver (d = 3), on deterministic
-    composite Gauss-Legendre grids (densities scale with the oscillation
-    rates; validated by doubling tests)."""
+    """4x4 overlap matrix for a truncated receiver (d = 3), on a
+    deterministic composite Gauss-Legendre k grid (its density scales with
+    the oscillation rate; validated by a doubling test)."""
     sigma, delta = config.sigma, config.delta
     lphi, lpi = config.lambda_phi, config.resolved_lambda_pi
     k_max = config.resolved_k_max
     r_hi = delta + 9.0 * sigma
     k_panel = min(0.5 / sigma, 1.5 * K_NODES / r_hi)
     kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, K_NODES)
-    f1w, f2w, f3w = _windowed_spectra(config, kg).T
+    f1w, f2w, f3w = truncated_spectrum(config).all_orders(kg).T
 
     fa = GaussianSpectrum(sigma, 3)(kg)
     inv_sqrt = 1.0 / np.sqrt(2.0 * kg)
@@ -296,7 +327,7 @@ def build_exponent_string(config: ChannelConfig) -> tuple:
 
     For the full receiver the X_B / Z_B amplitudes equal pi_A / phi_A
     pointwise (the propagation identity); for truncated receivers they are
-    built from the windowed smearings and evaluate through quadrature.
+    built from the closed-form windowed spectra (WindowedShellSpectrum).
     """
     lphi, lpi, delta = config.lambda_phi, config.resolved_lambda_pi, config.delta
     alice = GaussianSpectrum(config.sigma, config.d)
@@ -309,7 +340,7 @@ def build_exponent_string(config: ChannelConfig) -> tuple:
     else:
         if config.d != 3:
             raise BadParameter("truncated receivers are implemented for d = 3 only")
-        s1, s2, s3 = (NumericSpectrum(p) for p in _truncated_bob_profiles(config))
+        s1, s2, s3 = (truncated_spectrum(config, order) for order in range(3))
     z_b = momentum_amplitude("phi", s2, delta, lphi) + momentum_amplitude("pi", s1, delta, lphi)
     x_b = momentum_amplitude("phi", s3, delta, lpi) + momentum_amplitude("pi", s2, delta, lpi)
     if variant == "rank1":

@@ -275,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"capacity": run_capacity, "smearings": run_smearings,
                 "broadcast": run_broadcast, "verify": run_verify}
     try:
+        for path in (args.out, getattr(args, "plot_script", None)):  # before computing
+            if path is not None and not Path(path).resolve().parent.is_dir():
+                raise BadParameter(f"{path!r}: no such directory {str(Path(path).parent)!r}")
         return handlers[args.command](args)
     except BadParameter as exc:
         print(f"error: {exc}", file=sys.stderr)

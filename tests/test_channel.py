@@ -1,13 +1,18 @@
 """Tests for the rho_CB assembly, sweeps and receiver variants."""
 
+import functools
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldchannel import channel, qmath, smearing
 from fieldchannel.channel import BobSpec, ChannelConfig
 from fieldchannel.errors import BadParameter
+from fieldchannel.propagation import bob_profiles_3d
 
 
 def validate_state(m, tol=1e-9):
@@ -47,7 +52,7 @@ class TestConfig:
             BobSpec("half")
 
 
-class TestExponentTemplate:
+class TestExponentString:
     def test_slot_layout(self):
         # slots [z1 phiA, x1 piA, x2 X_B, z2 Z_B, z3 Z_B, x3 X_B, x4 piA, z4 phiA]
         assert channel.SLOT_BASE == (0, 1, 2, 3, 3, 2, 1, 0)
@@ -69,19 +74,28 @@ class TestExponentTemplate:
         assert not np.allclose(z_b(ks), 0.0)
 
     def test_truncation_complementarity(self):
-        # inner + outer windowed receiver amplitudes = full amplitudes
+        # inner + outer windowed receiver amplitudes = full amplitudes, and
+        # each side matches the position-space window through the explicit
+        # r-grid kernel (the closed form makes the sum hold by algebra alone)
         cfg = ChannelConfig(lambda_phi=2.0, delta=6.0)
-        inner = replace(cfg, bob=BobSpec("truncated_inner", r0=6.0, eps=0.1))
-        outer = replace(cfg, bob=BobSpec("truncated_outer", r0=6.0, eps=0.1))
         t_full = channel.build_exponent_string(cfg)
-        t_in = channel.build_exponent_string(inner)
-        t_out = channel.build_exponent_string(outer)
         ks = np.linspace(0.3, 8.0, 9)
-        for base in (2, 3):
+        split = 0.0
+        for side in ("inner", "outer"):
+            truncated = replace(cfg, bob=BobSpec(f"truncated_{side}", r0=6.0, eps=0.1))
+            t_side = channel.build_exponent_string(truncated)
+            f1, f2, f3 = direct_windowed_spectra(truncated, ks).T
+            phase = np.exp(-6.0j * ks) / np.sqrt(2.0 * ks)
+            x_b = truncated.resolved_lambda_pi * (f3 - 1j * ks * f2) * phase
+            z_b = truncated.lambda_phi * (f2 - 1j * ks * f1) * phase
+            for base, ref in ((2, x_b), (3, z_b)):
+                peak = np.max(np.abs(t_full[base](ks)))
+                assert np.max(np.abs(t_side[base](ks) - ref)) <= 1e-12 * peak
+            split = split + np.stack([t_side[2](ks), t_side[3](ks)])
+        for i, base in enumerate((2, 3)):
             full_vals = t_full[base](ks)
-            split = t_in[base](ks) + t_out[base](ks)
             peak = np.max(np.abs(full_vals))
-            assert np.max(np.abs(split - full_vals)) <= 1e-8 * peak
+            assert np.max(np.abs(split[i] - full_vals)) <= 1e-8 * peak
 
 
 class TestRhoCB:
@@ -141,17 +155,16 @@ class TestRhoCB:
                             bob=BobSpec("truncated_outer", r0=9.0, eps=0.1))
         v0 = channel.overlap_matrix(cfg)
         monkeypatch.setattr(channel, "K_NODES", 32)
-        monkeypatch.setattr(channel, "R_NODES", 64)
         v2 = channel.overlap_matrix(cfg)
         assert np.max(np.abs(v2 - v0)) / np.max(np.abs(v0)) < 1e-12
 
     def test_windowed_spectra_match_adaptive_route(self):
-        # the vectorized transform against the independent adaptive engine
+        # the closed form against the independent adaptive engine
         cfg = ChannelConfig(lambda_phi=10.0,
                             bob=BobSpec("truncated_outer", r0=9.0, eps=0.1))
         ks = np.array([0.5, 2.0, 7.7, 21.0, 55.0, 120.0, 190.0])
-        fast = channel._windowed_spectra(cfg, ks)
-        for i, prof in enumerate(channel._truncated_bob_profiles(cfg)):
+        fast = channel.truncated_spectrum(cfg).all_orders(ks)
+        for i, prof in enumerate(windowed_profiles(cfg)):
             adaptive = smearing.NumericSpectrum(prof, rel_tol=1e-11)
             ref = adaptive(ks)
             assert np.max(np.abs(fast[:, i] - ref)) / np.max(np.abs(ref)) < 1e-9
@@ -169,21 +182,84 @@ class TestRhoCB:
             assert np.max(np.abs(rho_c - np.eye(2) / 2)) < 1e-11
 
 
+def windowed_profiles(cfg):
+    """The three receiver profiles times the truncation window, in r."""
+    return [smearing.WindowedProfile(p, channel.truncated_spectrum(cfg).window)
+            for p in bob_profiles_3d(cfg.sigma, cfg.delta)]
+
+
+# nodes per panel of the explicit r grid below
+KERNEL_R_NODES = 32
+
+
 def direct_windowed_spectra(cfg, k):
-    """The sinc kernel over every node of the production r grid, formed
-    explicitly: the reference for the factorised transform."""
+    """The sinc kernel over every node of a composite Gauss-Legendre r grid,
+    formed explicitly: the reference for the closed form."""
     sigma, delta = cfg.sigma, cfg.delta
-    r_panel = min(sigma / 4.0, 1.5 * channel.R_NODES / cfg.resolved_k_max)
+    r_panel = min(sigma / 4.0, 1.5 * KERNEL_R_NODES / cfg.resolved_k_max)
     rg, rw = smearing.gauss_legendre_panels(max(0.0, delta - 9.0 * sigma),
-                                            delta + 9.0 * sigma, r_panel, channel.R_NODES)
-    profiles = channel._truncated_bob_profiles(cfg)
-    coefs = np.stack([rw * rg * rg * p(rg) for p in profiles], axis=1)
+                                            delta + 9.0 * sigma, r_panel, KERNEL_R_NODES)
+    coefs = np.stack([rw * rg * rg * p(rg) for p in windowed_profiles(cfg)], axis=1)
     return channel.SQRT_2_OVER_PI * np.sinc(k[:, None] * rg[None, :] / np.pi) @ coefs
+
+
+@functools.lru_cache(maxsize=None)
+def mp_windowed_spectra(delta, r0, eps, side, ks):
+    """(len(ks), 3) windowed receiver spectra (sigma = 1) at 50 digits.
+
+    sqrt(2/pi)/k int_0^{Delta+12} r F_j(r) w(r) sin(kr) dr on a composite
+    24-node Gauss-Legendre rule: unit panels over the whole range and
+    panels of eps within 12 eps of r0 (k <= 21 advances at most 21 radians
+    a panel). r F_j is the closed shell form of GaussianShellProfile, and
+    the window is 1/2 erfc(+-(r - r0)/eps), so no value is formed as a
+    difference of O(1) terms.
+    """
+    with mpmath.workdps(50):
+        mp = mpmath.mp
+        d, r0m, epsm = mp.mpf(delta), mp.mpf(r0), mp.mpf(eps)
+        flip = 1 if side == "inner" else -1
+        hi = delta + 12.0
+        edges = {hi} | {float(i) for i in range(int(hi) + 1)}
+        edges |= {x for x in (r0 + eps * j for j in range(-12, 13)) if 0.0 < x < hi}
+        edges = [mp.mpf(x) for x in sorted(edges)]
+        rule = mpmath.calculus.quadrature.GaussLegendre(mp).calc_nodes(4, mp.prec)
+        nodes = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            for x, w in rule:
+                r = mid + half * x
+                vp, vm = d + r, d - r
+                gp, gm = mp.exp(-vp * vp), mp.exp(-vm * vm)
+                weight = half * w * mp.erfc(flip * (r - r0m) / epsm) / (8 * mp.pi ** 1.5)
+                nodes.append((r, weight * (gp - gm), weight * 2 * (vp * gp - vm * gm),
+                              weight * ((4 * vp * vp - 2) * gp - (4 * vm * vm - 2) * gm)))
+        radii, *columns = zip(*nodes)
+        out = []
+        for k in ks:
+            km = mp.mpf(k)
+            sines = [mp.sin(km * r) for r in radii]
+            out.append([float(mp.sqrt(2 / mp.pi) * mp.fdot(col, sines) / km)
+                        for col in columns])
+        return np.array(out)
+
+
+def assert_within_own_peak(got, ref, tol=1e-13):
+    """Each profile's spectrum against its own peak."""
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= tol * np.max(np.abs(ref), axis=0))
 
 
 # Delta < 9 puts the lower edge of the r grid at 0
 DIRECT_KERNEL_POINTS = [(delta, r0) for delta in (3.0, 8.5, 10.0, 25.0)
                         for r0 in (0.5, delta - 2.0, delta, delta + 2.0, delta + 8.0)]
+
+# Where the explicit kernel is the inaccurate side, as the 50-digit
+# reference shows, that reference takes its place on this k subset: every
+# window that removes the shell (kernel peak <= 1e-25; the kernel is off by
+# 2e-11 to 7 of it, or returns exact zeros), and Delta = r0 = 25,
+# eps = 0.05, where the kernel's roundoff at k = 0.01 is 1.03e-13 of the
+# F_B3 peak.
+MPMATH_K = (0.01, 0.5, 7.7, 21.0)
+KERNEL_ROUNDOFF = {(25.0, 25.0, 0.05)}
 
 
 @pytest.mark.parametrize("side", ("inner", "outer"))
@@ -194,9 +270,44 @@ def test_windowed_spectra_match_direct_kernel(delta, r0, eps, side):
                         bob=BobSpec(f"truncated_{side}", r0=r0, eps=eps))
     k = np.linspace(0.01, 200.0, 997)
     ref = direct_windowed_spectra(cfg, k)
-    got = channel._windowed_spectra(cfg, k)
-    # each profile's spectrum against its own peak
-    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * np.max(np.abs(ref), axis=0))
+    if (delta, r0, eps) in KERNEL_ROUNDOFF or np.max(np.abs(ref)) <= 1e-25:
+        k = np.array(MPMATH_K)
+        ref = mp_windowed_spectra(delta, r0, eps, side, MPMATH_K)
+    assert_within_own_peak(channel.truncated_spectrum(cfg).all_orders(k), ref)
+
+
+@pytest.mark.parametrize("delta,r0,eps,side,ks", [
+    # a window on the shell
+    (10.0, 9.7, 0.1, "inner", (0.5, 2.0, 7.7, 21.0)),
+    (10.0, 9.7, 0.1, "outer", (0.5, 2.0, 7.7, 21.0)),
+    # windows that remove the shell: the spectra are 1e-41 to 1e-26
+    (10.0, 18.0, 0.2, "outer", MPMATH_K),
+    (3.0, 11.0, 0.05, "outer", MPMATH_K),
+    (10.0, 0.5, 0.2, "inner", MPMATH_K),
+    # the residual R decides the spectrum
+    (3.0, 0.5, 0.2, "inner", (0.5, 2.0, 7.7, 21.0)),
+    # F_B3 at small k: the division by k
+    (25.0, 25.0, 0.05, "inner", (0.01,)),
+])
+def test_windowed_spectra_match_mpmath(delta, r0, eps, side, ks):
+    cfg = ChannelConfig(lambda_phi=10.0, delta=delta,
+                        bob=BobSpec(f"truncated_{side}", r0=r0, eps=eps))
+    ref = mp_windowed_spectra(delta, r0, eps, side, ks)
+    assert_within_own_peak(channel.truncated_spectrum(cfg).all_orders(np.array(ks)), ref)
+
+
+@given(st.floats(0.0, 30.0), st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.02, 0.5), st.sampled_from(("inner", "outer")))
+@settings(max_examples=40, deadline=None)
+def test_truncated_state_valid_over_domain(delta, r0_share, eps, side):
+    # r0 in (0, Delta + 9]
+    cfg = ChannelConfig(lambda_phi=10.0, delta=delta,
+                        bob=BobSpec(f"truncated_{side}", r0=r0_share * (delta + 9.0), eps=eps))
+    res = channel.rho_cb(cfg)  # DensityMatrix validates the state
+    # a window that removes the shell gives I_c = -1 up to entropy roundoff
+    assert abs(res.coherent_info) <= 1.0 + 1e-12
+    rho_c = qmath.partial_trace(res.rho_cb, "C")
+    assert np.max(np.abs(rho_c - np.eye(2) / 2)) <= 1e-11
 
 
 class TestSweeps:

@@ -115,6 +115,59 @@ class TestBroadcast:
         assert rows[0][2] >= 0.99   # smallest r0: outer receiver gets everything
         assert rows[-1][1] >= 0.99  # largest r0: inner receiver does
 
+    def test_default_matches_r_grid_transform(self, tmp_path):
+        # the closed-form windowed spectra move I_c by at most 1e-9
+        out = tmp_path / "bc.csv"
+        assert cli.main(["broadcast", "--out", str(out)]) == 0
+        for lam, expected in R_GRID_BROADCAST.items():
+            _, rows = read_csv(tmp_path / f"bc_lphi{lam:g}.csv")
+            assert [r[0] for r in rows] == list(range(2, 19))
+            assert np.max(np.abs(np.array(rows)[:, 1:] - expected)) <= 1e-9
+
+
+# (ic_bob1, ic_bob2) of the default `broadcast` at r0 = 2, 3, ..., 18, as the
+# former r-grid sine transform computed them
+R_GRID_BROADCAST = {
+    10.0: [
+        (-0.9999999999999989, 0.5555672738818627),
+        (-0.9999999999999989, 0.5555672738818624),
+        (-0.9999999999999989, 0.555567273881862),
+        (-0.9999999999999998, 0.5555672738824112),
+        (-0.999999999999999, 0.555567279176031),
+        (-0.999999999999999, 0.5555735148653382),
+        (-0.9999999914252359, 0.5471727325277373),
+        (-0.9989337559980896, -0.21427093006875042),
+        (-0.6534192022697687, -0.6534190534874176),
+        (-0.2283156708693168, -0.998943985735093),
+        (0.5465028932338395, -0.999999991519163),
+        (0.5555735075066686, -0.9999999999999993),
+        (0.5555672793734898, -0.9999999999999966),
+        (0.5555672738824587, -0.9999999999999989),
+        (0.5555672738818616, -0.9999999999999989),
+        (0.5555672738818627, -0.9999999999999989),
+        (0.5555672738818627, -0.9999999999999989),
+    ],
+    1000.0: [
+        (-0.9999999999999989, 0.9998494673997514),
+        (-0.9999999999999989, 0.999849467408637),
+        (-0.9999999999999989, 0.9998494673997517),
+        (-0.9999999999999989, 0.9998494674726197),
+        (-0.9999999999999989, 0.9998494542123294),
+        (-0.9999999999999988, 0.9946705224887222),
+        (-0.9999999975127568, -0.00014250529957648972),
+        (-0.9989890809692432, -0.004626642680710891),
+        (-0.6008817287961583, -0.6008817288164678),
+        (-0.004627775709519666, -0.998989081373252),
+        (-0.0001425293288204177, -0.9999999975127567),
+        (0.9941448106648949, -0.9999999999999988),
+        (0.9998494536489284, -0.999999999999999),
+        (0.9998494674102488, -0.9999999999999989),
+        (0.9998494673216604, -0.9999999999999989),
+        (0.9998494673997514, -0.9999999999999989),
+        (0.9998494673997514, -0.9999999999999989),
+    ],
+}
+
 
 # (subcommand, flag, value) for every flag a subcommand does not read
 REMOVED_FLAGS = [
@@ -209,6 +262,22 @@ def test_bad_input_exits_2(argv, config, tmp_path):
         cfgfile.write_text(config + "\n", encoding="utf-8")
         args += ["--config", str(cfgfile)]
     assert cli.main(args) == 2
+
+
+@pytest.mark.parametrize("flag", ("--out", "--plot-script"))
+@pytest.mark.parametrize("command", ("capacity --points 3", "smearings --points 3",
+                                     "broadcast --r0-points 1"))
+def test_missing_output_directory_exits_2_before_computing(command, flag, tmp_path,
+                                                           monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+
+    for name in ("capacity_sweep", "broadcast_sweep", "bob_profiles_3d"):
+        monkeypatch.setattr(cli, name, refuse)
+    missing = tmp_path / "missing"
+    assert cli.main([*command.split(), flag, str(missing / "x.csv")]) == 2
+    assert "no such directory" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 class TestConfigFile:
