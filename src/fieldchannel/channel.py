@@ -263,18 +263,22 @@ class WindowedShellSpectrum(SpectralProfile):
 
     def _residual(self, k, peaks):
         """sqrt(2/pi) R(k)/k, or 0 below 1e-16 of every peak. The integrand
-        lies under a Gaussian narrower than eps centred at
+        lies under a Gaussian of width s eps/sqrt(s^2 + eps^2) centred at
         r* = (Delta eps^2 - r0 s^2)/(s^2 + eps^2)."""
         sigma, delta, r0, eps = self.sigma, self.delta, self.window.r0, self.window.eps
-        r_hi = max(delta * eps**2 - r0 * sigma**2, 0.0) / (sigma**2 + eps**2) + 9.0 * eps
-        panel = min(eps, sigma / 4.0, 1.5 * K_NODES / np.max(k))
+        width = sigma * eps / math.hypot(sigma, eps)
+        r_hi = max(delta * eps**2 - r0 * sigma**2, 0.0) / (sigma**2 + eps**2) + 9.0 * width
+        panel = min(width, 1.5 * K_NODES / np.max(k))
         rg, rw = gauss_legendre_panels(0.0, r_hi, panel, K_NODES)
         coefs = np.stack([rw * rg * scipy.special.erfc((r0 + rg) / eps) * p(rg)
                           for p in bob_profiles_3d(sigma, delta)], axis=1)
         # |sin(kr)/k| <= r
         if np.all(SQRT_2_OVER_PI * (rg @ np.abs(coefs)) <= 1e-16 * peaks):
             return 0.0
-        return SQRT_2_OVER_PI * (np.sin(np.outer(k, rg)) @ coefs) / k[:, None]
+        # 512 k at a time bound the memory of the sine table
+        blocks = np.array_split(k, -(-len(k) // 512))
+        return SQRT_2_OVER_PI * np.concatenate(
+            [np.sin(np.outer(kb, rg)) @ coefs for kb in blocks]) / k[:, None]
 
 
 def truncated_spectrum(config: ChannelConfig, order: int = 0) -> WindowedShellSpectrum:
