@@ -4,8 +4,8 @@ from .channel import (
     BobSpec,
     ChannelConfig,
     ChannelResult,
+    base_amplitudes,
     broadcast_sweep,
-    build_exponent_string,
     capacity_sweep,
     coherent_info_of,
     rho_cb,

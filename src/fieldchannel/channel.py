@@ -43,7 +43,6 @@ from .observables import (
     check_conditions,
     gamma_rule_lambda_pi,
     gaussian_w_matrix,
-    momentum_amplitude,
 )
 from .propagation import bob_profiles_3d, bob_spectra
 from .qmath import DensityMatrix, coherent_information
@@ -51,7 +50,6 @@ from .smearing import (
     SQRT_2_OVER_PI,
     GaussianSpectrum,
     SmoothStep,
-    SpectralProfile,
     default_k_max,
     gauss_legendre_panels,
 )
@@ -67,6 +65,9 @@ K_NODES = 16
 BASE_PHI_A, BASE_PI_A, BASE_X_B, BASE_Z_B = 0, 1, 2, 3
 SLOT_BASE = (BASE_PHI_A, BASE_PI_A, BASE_X_B, BASE_Z_B,
              BASE_Z_B, BASE_X_B, BASE_PI_A, BASE_PHI_A)
+
+# receiver rows (and columns) of V that the rank1 and none variants zero
+DROPPED_BASES = {"rank1": (BASE_X_B,), "none": (BASE_X_B, BASE_Z_B)}
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,8 @@ class ChannelConfig:
             raise BadParameter("d must be 2 or 3")
         if self.k_max is not None and self.k_max <= 0:
             raise BadParameter("k_max must be positive")
+        if self.bob.variant.startswith("truncated") and self.d != 3:
+            raise BadParameter("truncated receivers are implemented for d = 3 only")
 
     @property
     def resolved_lambda_pi(self) -> float:
@@ -197,16 +200,15 @@ def _v_base_closed_form(config: ChannelConfig) -> np.ndarray:
     # base observables [phi_A, pi_A, X_B, Z_B] are pi-like (x) or phi-like (z)
     v = gaussian_w_matrix((0, 1, 1, 0), (1, 0, 0, 1), config.sigma,
                           config.lambda_phi, config.resolved_lambda_pi, config.d)
-    dropped = {"rank1": (BASE_X_B,), "none": (BASE_X_B, BASE_Z_B)}
-    for base in dropped.get(config.bob.variant, ()):
+    for base in DROPPED_BASES.get(config.bob.variant, ()):
         v[base, :] = 0.0
         v[:, base] = 0.0
     return v
 
 
 @dataclass(frozen=True)
-class WindowedShellSpectrum(SpectralProfile):
-    """Spectrum of F_B(order+1) of bob_profiles_3d times an erf window, in
+class WindowedShellSpectrum:
+    """Spectra of F_B1..F_B3 of bob_profiles_3d times an erf window, in
     closed form (d = 3); all_orders(k) gives all three, shape (len(k), 3).
 
     r F_B1 = p [g(r + Delta) - g(r - Delta)] with g(u) = e^{-u^2/s^2}, and
@@ -224,16 +226,6 @@ class WindowedShellSpectrum(SpectralProfile):
     sigma: float
     delta: float
     window: SmoothStep
-    order: int = 0
-    d = 3
-
-    @property
-    def k_max(self) -> float:
-        return default_k_max(self.sigma, windowed=True)
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        return self.all_orders(k)[:, self.order].reshape(k.shape)
 
     def all_orders(self, k) -> np.ndarray:
         k = np.atleast_1d(k)
@@ -281,33 +273,51 @@ class WindowedShellSpectrum(SpectralProfile):
             [np.sin(np.outer(kb, rg)) @ coefs for kb in blocks]) / k[:, None]
 
 
-def truncated_spectrum(config: ChannelConfig, order: int = 0) -> WindowedShellSpectrum:
-    """The windowed receiver spectrum of a truncated receiver."""
+def truncated_spectrum(config: ChannelConfig) -> WindowedShellSpectrum:
+    """The windowed receiver spectra of a truncated receiver."""
     side = "inner" if config.bob.variant == "truncated_inner" else "outer"
     return WindowedShellSpectrum(config.sigma, config.delta,
-                                 SmoothStep(config.bob.r0, config.bob.eps, side), order)
+                                 SmoothStep(config.bob.r0, config.bob.eps, side))
+
+
+def base_amplitudes(config: ChannelConfig, k) -> np.ndarray:
+    """Coherent amplitudes b(k) of the four base observables, shape
+    (4, len(k)) in the order phi_A, pi_A, X_B, Z_B; SLOT_BASE maps each of
+    the 8 slots to one of them. They are 0 at k = 0.
+
+    X_B and Z_B take F_B1..F_B3 from bob_spectra, or from the closed-form
+    windowed spectra for truncated receivers; for the full receiver they
+    equal pi_A and phi_A pointwise (the propagation identity). rank1 and
+    none zero the rows of DROPPED_BASES.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    lphi, lpi, delta = config.lambda_phi, config.resolved_lambda_pi, config.delta
+    alice = GaussianSpectrum(config.sigma, config.d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if config.bob.variant.startswith("truncated"):
+            f1, f2, f3 = truncated_spectrum(config).all_orders(k).T
+        else:
+            f1, f2, f3 = (s(k) for s in bob_spectra(alice, delta))
+        fa = alice(k)
+        inv_sqrt = 1.0 / np.sqrt(2.0 * k)
+        phase = np.exp(-1j * k * delta)
+        beta = np.empty((4, len(k)), dtype=complex)
+        beta[BASE_PHI_A] = lphi * fa * inv_sqrt
+        beta[BASE_PI_A] = -1j * k * lpi * fa * inv_sqrt
+        beta[BASE_X_B] = lpi * (f3 - 1j * k * f2) * phase * inv_sqrt
+        beta[BASE_Z_B] = lphi * (f2 - 1j * k * f1) * phase * inv_sqrt
+    beta[list(DROPPED_BASES.get(config.bob.variant, ())), :] = 0.0
+    beta[:, k == 0.0] = 0.0
+    return beta
 
 
 def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
-    """4x4 overlap matrix for a truncated receiver (d = 3), on a
-    deterministic composite Gauss-Legendre k grid (its density scales with
-    the oscillation rate; validated by a doubling test)."""
-    sigma, delta = config.sigma, config.delta
-    lphi, lpi = config.lambda_phi, config.resolved_lambda_pi
-    k_max = config.resolved_k_max
-    r_hi = delta + 9.0 * sigma
-    k_panel = min(0.5 / sigma, 1.5 * K_NODES / r_hi)
-    kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, K_NODES)
-    f1w, f2w, f3w = truncated_spectrum(config).all_orders(kg).T
-
-    fa = GaussianSpectrum(sigma, 3)(kg)
-    inv_sqrt = 1.0 / np.sqrt(2.0 * kg)
-    phase = np.exp(-1j * kg * delta)
-    beta = np.empty((4, len(kg)), dtype=complex)
-    beta[BASE_PHI_A] = lphi * fa * inv_sqrt
-    beta[BASE_PI_A] = -1j * kg * lpi * fa * inv_sqrt
-    beta[BASE_X_B] = lpi * (f3w - 1j * kg * f2w) * phase * inv_sqrt
-    beta[BASE_Z_B] = lphi * (f2w - 1j * kg * f1w) * phase * inv_sqrt
+    """4x4 overlap matrix on a deterministic composite Gauss-Legendre k grid
+    (d = 3; its density scales with the oscillation rate; validated by a
+    doubling test). The truncated receivers take this route."""
+    k_panel = min(0.5 / config.sigma, 1.5 * K_NODES / (config.delta + 9.0 * config.sigma))
+    kg, kw = gauss_legendre_panels(0.0, config.resolved_k_max, k_panel, K_NODES)
+    beta = base_amplitudes(config, kg)
     measure = 4.0 * np.pi * kg * kg * kw
     return (beta * measure) @ beta.conj().T
 
@@ -315,44 +325,8 @@ def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
 def overlap_matrix(config: ChannelConfig) -> np.ndarray:
     """Base-observable overlap matrix V with V[l, m] = <0|O_l O_m|0>."""
     if config.bob.variant.startswith("truncated"):
-        if config.d != 3:
-            raise BadParameter("truncated receivers are implemented for d = 3 only")
         return _v_base_numeric(config)
     return _v_base_closed_form(config)
-
-
-# ---------------------------------------------------------------------------
-# exponent string (inspection / oracle surface)
-# ---------------------------------------------------------------------------
-
-def build_exponent_string(config: ChannelConfig) -> tuple:
-    """The four base coherent amplitudes (phi_A, pi_A, X_B, Z_B) of the
-    8-slot string; SLOT_BASE maps each slot to one of them.
-
-    For the full receiver the X_B / Z_B amplitudes equal pi_A / phi_A
-    pointwise (the propagation identity); for truncated receivers they are
-    built from the closed-form windowed spectra (WindowedShellSpectrum).
-    """
-    lphi, lpi, delta = config.lambda_phi, config.resolved_lambda_pi, config.delta
-    alice = GaussianSpectrum(config.sigma, config.d)
-    phi_a = momentum_amplitude("phi", alice, 0.0, lphi)
-    pi_a = momentum_amplitude("pi", alice, 0.0, lpi)
-
-    variant = config.bob.variant
-    if variant in ("full", "rank1", "none"):
-        s1, s2, s3 = bob_spectra(alice, delta)
-    else:
-        if config.d != 3:
-            raise BadParameter("truncated receivers are implemented for d = 3 only")
-        s1, s2, s3 = (truncated_spectrum(config, order) for order in range(3))
-    z_b = momentum_amplitude("phi", s2, delta, lphi) + momentum_amplitude("pi", s1, delta, lphi)
-    x_b = momentum_amplitude("phi", s3, delta, lpi) + momentum_amplitude("pi", s2, delta, lpi)
-    if variant == "rank1":
-        x_b = x_b.scaled(0.0)
-    elif variant == "none":
-        z_b, x_b = z_b.scaled(0.0), x_b.scaled(0.0)
-
-    return phi_a, pi_a, x_b, z_b
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +392,6 @@ def broadcast_sweep(r0_grid, config: ChannelConfig):
     The two receivers are the complementary truncations of the full
     lightcone coverage at radius r0 (roll-off width config.bob.eps).
     """
-    if config.bob.eps <= 0:
-        raise BadParameter("broadcast sweep needs a positive window width eps")
     rows = []
     for r0 in r0_grid:
         r0 = float(r0)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParameter
-from .smearing import DEFAULT_REL_TOL, SpectralProfile, complex_quadrature
+from .smearing import DEFAULT_REL_TOL, SpectralProfile, complex_quadrature, envelope_floor
 
 SOLID_ANGLE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -105,9 +105,7 @@ def overlap_W(l: SpectralAmplitude, m: SpectralAmplitude,
 
     # roundoff floor from the integrand envelope (the real or imaginary part
     # alone can be an exact zero that no relative tolerance can resolve)
-    probes = top * np.linspace(0.03125, 0.96875, 31)
-    scale = float(np.max(np.abs(integrand(probes)))) * top
-    return complex_quadrature(integrand, 0.0, top, rel_tol, 5e-15 * scale)
+    return complex_quadrature(integrand, 0.0, top, rel_tol, envelope_floor(integrand, top))
 
 
 def _gaussian_moment(n: int, sigma: float) -> float:

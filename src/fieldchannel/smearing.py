@@ -334,11 +334,15 @@ def require_rel_tol(rel_tol: float) -> None:
         raise BadParameter(f"rel_tol must be finite and positive, got {rel_tol!r}")
 
 
-def _envelope_floor(envelope: Callable, top: float) -> float:
-    """Noise floor for oscillatory radial integrals: roundoff accumulated by
-    the extrapolated rule scales with the envelope area, not the (possibly
-    heavily cancelled) result."""
-    probes = top * np.linspace(0.0625, 0.9375, 15)
+def envelope_floor(envelope: Callable, top: float) -> float:
+    """Noise floor for oscillatory integrals on (0, top): roundoff
+    accumulated by the extrapolated rule scales with the envelope area, not
+    the (possibly heavily cancelled) result. The 256 probes follow the
+    golden-ratio sequence, dense on (0, top) without a spacing for an
+    oscillating integrand to alias against: evenly spaced probes all land
+    on zeros of sin(Delta k) when Delta is a multiple of pi/spacing."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    probes = top * (np.arange(1, 257) * golden % 1.0)
     scale = float(np.max(np.abs(envelope(probes)))) * top
     return 5e-15 * scale + 1e-300
 
@@ -351,7 +355,7 @@ def _radial_transform(f: Callable, xs, top: float, d: int, rel_tol: float):
     once for all points."""
     xs = np.asarray(xs, dtype=float)
     power = d - 1
-    floor = _envelope_floor(lambda y: y**power * f(y), top)
+    floor = envelope_floor(lambda y: y**power * f(y), top)
 
     def at(x):
         if d == 3:

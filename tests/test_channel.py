@@ -50,6 +50,8 @@ class TestConfig:
             BobSpec("truncated_inner", r0=0.0, eps=0.1)
         with pytest.raises(BadParameter):
             BobSpec("half")
+        with pytest.raises(BadParameter):
+            ChannelConfig(lambda_phi=1.0, d=2, bob=BobSpec("truncated_inner", r0=5.0, eps=0.1))
 
 
 class TestExponentString:
@@ -58,42 +60,42 @@ class TestExponentString:
         assert channel.SLOT_BASE == (0, 1, 2, 3, 3, 2, 1, 0)
 
     def test_full_receiver_matches_emitter_amplitudes(self):
-        phi_a, pi_a, x_b, z_b = channel.build_exponent_string(
-            ChannelConfig(lambda_phi=2.0, delta=6.0))
         ks = np.linspace(1e-3, 40.0, 200)
-        peak = np.max(np.abs(phi_a(ks)))
-        assert np.max(np.abs(z_b(ks) - phi_a(ks))) <= 1e-10 * peak
-        peak_pi = np.max(np.abs(pi_a(ks)))
-        assert np.max(np.abs(x_b(ks) - pi_a(ks))) <= 1e-10 * peak_pi
+        phi_a, pi_a, x_b, z_b = channel.base_amplitudes(
+            ChannelConfig(lambda_phi=2.0, delta=6.0), ks)
+        peak = np.max(np.abs(phi_a))
+        assert np.max(np.abs(z_b - phi_a)) <= 1e-10 * peak
+        peak_pi = np.max(np.abs(pi_a))
+        assert np.max(np.abs(x_b - pi_a)) <= 1e-10 * peak_pi
 
     def test_rank1_drops_x_exponent(self):
-        _, _, x_b, z_b = channel.build_exponent_string(
-            ChannelConfig(lambda_phi=2.0, bob=BobSpec("rank1")))
         ks = np.linspace(0.1, 10.0, 17)
-        assert np.allclose(x_b(ks), 0.0)
-        assert not np.allclose(z_b(ks), 0.0)
+        _, _, x_b, z_b = channel.base_amplitudes(
+            ChannelConfig(lambda_phi=2.0, bob=BobSpec("rank1")), ks)
+        assert np.allclose(x_b, 0.0)
+        assert not np.allclose(z_b, 0.0)
 
     def test_truncation_complementarity(self):
         # inner + outer windowed receiver amplitudes = full amplitudes, and
         # each side matches the position-space window through the explicit
         # r-grid kernel (the closed form makes the sum hold by algebra alone)
         cfg = ChannelConfig(lambda_phi=2.0, delta=6.0)
-        t_full = channel.build_exponent_string(cfg)
         ks = np.linspace(0.3, 8.0, 9)
+        t_full = channel.base_amplitudes(cfg, ks)
         split = 0.0
         for side in ("inner", "outer"):
             truncated = replace(cfg, bob=BobSpec(f"truncated_{side}", r0=6.0, eps=0.1))
-            t_side = channel.build_exponent_string(truncated)
+            t_side = channel.base_amplitudes(truncated, ks)
             f1, f2, f3 = direct_windowed_spectra(truncated, ks).T
             phase = np.exp(-6.0j * ks) / np.sqrt(2.0 * ks)
             x_b = truncated.resolved_lambda_pi * (f3 - 1j * ks * f2) * phase
             z_b = truncated.lambda_phi * (f2 - 1j * ks * f1) * phase
             for base, ref in ((2, x_b), (3, z_b)):
-                peak = np.max(np.abs(t_full[base](ks)))
-                assert np.max(np.abs(t_side[base](ks) - ref)) <= 1e-12 * peak
-            split = split + np.stack([t_side[2](ks), t_side[3](ks)])
+                peak = np.max(np.abs(t_full[base]))
+                assert np.max(np.abs(t_side[base] - ref)) <= 1e-12 * peak
+            split = split + t_side[2:]
         for i, base in enumerate((2, 3)):
-            full_vals = t_full[base](ks)
+            full_vals = t_full[base]
             peak = np.max(np.abs(full_vals))
             assert np.max(np.abs(split[i] - full_vals)) <= 1e-8 * peak
 
@@ -180,6 +182,17 @@ class TestRhoCB:
         for cfg in configs:
             rho_c = qmath.partial_trace(channel.rho_cb(cfg).rho_cb, "C")
             assert np.max(np.abs(rho_c - np.eye(2) / 2)) < 1e-11
+
+
+@pytest.mark.parametrize("variant", ("full", "rank1", "none"))
+@pytest.mark.parametrize("lphi", (0.1, 10.0, 1000.0))
+def test_numeric_route_matches_closed_form(lphi, variant):
+    # the k-grid route of the truncated receivers on the variants with a
+    # closed form: same amplitudes, same dropped rows
+    cfg = ChannelConfig(lambda_phi=lphi, bob=BobSpec(variant))
+    closed = channel._v_base_closed_form(cfg)
+    numeric = channel._v_base_numeric(cfg)
+    assert np.max(np.abs(numeric - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
 def windowed_profiles(cfg):

@@ -88,6 +88,17 @@ class TestProfiles2D:
             vals = prof(rs)
             assert abs(prof(delta / 2.0)) >= 1e-3 * np.max(np.abs(vals))
 
+    @pytest.mark.parametrize("delta", (9.42, 10.05, 20.11))
+    def test_numeric_profiles_where_a_probe_hits_a_zero(self, delta):
+        # evenly spaced noise-floor probes all sit on zeros of a propagation
+        # factor at these Delta (spacing 2.5 at the first two, 40/256 at the
+        # third), and the smearings grid failed outside the lightcone
+        rs = np.linspace(0.0, delta + 10.0, 41)
+        fb1, fb2, fb3 = (p(rs) for p in propagation.bob_profiles_2d_numeric(1.0, delta))
+        assert np.all(np.isfinite(np.stack([fb1, fb2, fb3])))
+        closed = propagation.bob_profile_2d_fb1(1.0, delta)(rs)
+        assert np.max(np.abs(fb1 - closed)) <= 1e-10 * np.max(np.abs(closed))
+
     def test_delta_zero_reduces_to_emitter(self):
         profs = propagation.bob_profiles_2d_numeric(1.0, 0.0, rel_tol=1e-10)
         gauss = smearing.GaussianProfile(1.0, 2)
