@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -49,7 +50,6 @@ from .qmath import DensityMatrix, coherent_information
 from .smearing import (
     SQRT_2_OVER_PI,
     GaussianSpectrum,
-    SmoothStep,
     default_k_max,
     gauss_legendre_panels,
 )
@@ -59,6 +59,13 @@ BOB_VARIANTS = ("full", "truncated_inner", "truncated_outer", "rank1", "none")
 # nodes per panel of the deterministic composite Gauss-Legendre rules on
 # the truncated path (the k grid and the short residual rule in r)
 K_NODES = 16
+
+# Coupling-free work of the truncated path, kept between evaluations: the
+# last MAX_GRIDS k grids with their terms, and per grid the last
+# MAX_WINDOWS truncation windows (r0, eps) evaluated on it.
+MAX_GRIDS = 2
+MAX_WINDOWS = 64
+_K_GRIDS: OrderedDict = OrderedDict()
 
 # slot -> base observable, in the fixed string order
 # [z1 phiA, x1 piA, x2 X_B, z2 Z_B, z3 Z_B, x3 X_B, x4 piA, z4 phiA]
@@ -206,10 +213,27 @@ def _v_base_closed_form(config: ChannelConfig) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class WindowedShellSpectrum:
-    """Spectra of F_B1..F_B3 of bob_profiles_3d times an erf window, in
-    closed form (d = 3); all_orders(k) gives all three, shape (len(k), 3).
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _lru_get(table: OrderedDict, key, bound: int, make):
+    """table[key], made by make() on a miss; the least recently used entry
+    is dropped once the table holds more than bound."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = make()
+        if len(table) > bound:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+    return value
+
+
+class _ShellWindow:
+    """The side-free terms of the spectra of F_B1..F_B3 of bob_profiles_3d
+    times the erf window of (r0, eps), on one k array (d = 3).
 
     r F_B1 = p [g(r + Delta) - g(r - Delta)] with g(u) = e^{-u^2/s^2}, and
     F_B2, F_B3 are its first two Delta-derivatives (up to sign). Over the
@@ -219,22 +243,19 @@ class WindowedShellSpectrum:
     t = sign(Re z), E erf(z) = t E - t E e^{-z^2} w(t i z), w the Faddeeva
     function. The t E parts sum to the full-receiver spectrum or to zero,
     so no O(1) terms cancel. The half-line transform adds R(k) =
-    int_0^inf r F sin(kr) erfc((r0 + r)/eps) dr wherever its bound exceeds
-    1e-16 of a spectrum's peak over the requested k (see README).
+    int_0^inf r F sin(kr) erfc((r0 + r)/eps) dr (see README).
+
+    `inner` holds the e^{-z^2} w parts of the inner window; the outer
+    window takes them with the opposite sign, which is exact. R is
+    evaluated when a side first needs it.
     """
 
-    sigma: float
-    delta: float
-    window: SmoothStep
-
-    def all_orders(self, k) -> np.ndarray:
-        k = np.atleast_1d(k)
-        sigma, delta, r0, eps = self.sigma, self.delta, self.window.r0, self.window.eps
+    def __init__(self, sigma, delta, r0, eps, k):
+        self.k = k
         c2 = sigma * sigma + eps * eps
         b = 0.5 * sigma * sigma * k
-        corr = np.zeros((3, len(k)), dtype=complex)
-        # each centre with the signs of its correction terms in F_B1..F_B3
-        for mu, signs in ((-delta, (1.0, 1.0, -1.0)), (delta, (-1.0, 1.0, 1.0))):
+
+        def centre(mu, signs):
             a = r0 - mu
             t = 1.0 if a >= 0.0 else -1.0
             # E e^{-z^2} with the exponents combined
@@ -242,42 +263,113 @@ class WindowedShellSpectrum:
                         + 1j * (mu + a * sigma * sigma / c2) * k)
             dw = t * ed * scipy.special.wofz((t * b + 1j * abs(a)) / math.sqrt(c2))
             ed *= 2.0 / math.sqrt(np.pi * c2)
-            corr[0] -= signs[0] * dw
-            corr[1] -= signs[1] * (1j * k * dw + ed)
-            corr[2] -= signs[2] * (k * k * dw - ed * (2j * k + 2.0 * (a - 1j * b) / c2))
-        # p s sqrt(pi) = 1/(4 pi), and a window is 1/2 (1 +- erf)
-        sign = 1.0 if self.window.side == "inner" else -1.0
-        spectra = sign * SQRT_2_OVER_PI / (8.0 * np.pi) * corr.imag.T / k[:, None]
-        if (sign > 0) == (r0 >= delta):
-            full = bob_spectra(GaussianSpectrum(sigma, 3), delta)
-            spectra += np.stack([s(k) for s in full], axis=1)
-        return spectra + 0.5 * sign * self._residual(k, np.max(np.abs(spectra), axis=0))
+            return np.stack([signs[0] * dw, signs[1] * (1j * k * dw + ed),
+                             signs[2] * (k * k * dw - ed * (2j * k + 2.0 * (a - 1j * b) / c2))])
 
-    def _residual(self, k, peaks):
-        """sqrt(2/pi) R(k)/k, or 0 below 1e-16 of every peak. The integrand
-        lies under a Gaussian of width s eps/sqrt(s^2 + eps^2) centred at
-        r* = (Delta eps^2 - r0 s^2)/(s^2 + eps^2)."""
-        sigma, delta, r0, eps = self.sigma, self.delta, self.window.r0, self.window.eps
+        # p s sqrt(pi) = 1/(4 pi), and a window is 1/2 (1 +- erf)
+        scale = SQRT_2_OVER_PI / (8.0 * np.pi)
+        shell = centre(delta, (-1.0, 1.0, 1.0))
+        # The mirror centre mu = -Delta has a = r0 + Delta > 0 and |w| <= 1
+        # there, so e^{-a^2/c2} times these polynomials in k bounds its
+        # terms; it is skipped below 1e-16 of the shell centre's peak.
+        q = 2.0 / math.sqrt(np.pi * c2)
+        a = r0 + delta
+        envelope = scale * math.exp(-a * a / c2) * np.stack(
+            [np.ones_like(k), k + q, k * k + q * (2.0 * k + 2.0 * (a + b) / c2)]) / k
+        corr = np.zeros((3, len(k)), dtype=complex)
+        if not np.all(np.max(envelope, axis=1)
+                      <= 1e-16 * np.max(np.abs(scale * shell.imag / k), axis=1)):
+            corr -= centre(-delta, (1.0, 1.0, -1.0))
+        corr -= shell
+        self.inner = _read_only(scale * corr.imag.T / k[:, None])
+        # R lies under a Gaussian of width s eps/sqrt(s^2 + eps^2) centred
+        # at r* = (Delta eps^2 - r0 s^2)/(s^2 + eps^2)
         width = sigma * eps / math.hypot(sigma, eps)
         r_hi = max(delta * eps**2 - r0 * sigma**2, 0.0) / (sigma**2 + eps**2) + 9.0 * width
         panel = min(width, 1.5 * K_NODES / np.max(k))
         rg, rw = gauss_legendre_panels(0.0, r_hi, panel, K_NODES)
-        coefs = np.stack([rw * rg * scipy.special.erfc((r0 + rg) / eps) * p(rg)
-                          for p in bob_profiles_3d(sigma, delta)], axis=1)
+        self._rg = rg
+        self._coefs = np.stack([rw * rg * scipy.special.erfc((r0 + rg) / eps) * p(rg)
+                                for p in bob_profiles_3d(sigma, delta)], axis=1)
         # |sin(kr)/k| <= r
-        if np.all(SQRT_2_OVER_PI * (rg @ np.abs(coefs)) <= 1e-16 * peaks):
-            return 0.0
+        self.residual_bound = SQRT_2_OVER_PI * (rg @ np.abs(self._coefs))
+
+    @functools.cached_property
+    def residual(self) -> np.ndarray:
+        """sqrt(2/pi) R(k)/k, shape (len(k), 3)."""
+        k = self.k
         # 512 k at a time bound the memory of the sine table
         blocks = np.array_split(k, -(-len(k) // 512))
-        return SQRT_2_OVER_PI * np.concatenate(
-            [np.sin(np.outer(kb, rg)) @ coefs for kb in blocks]) / k[:, None]
+        return _read_only(SQRT_2_OVER_PI * np.concatenate(
+            [np.sin(np.outer(kb, self._rg)) @ self._coefs for kb in blocks]) / k[:, None])
 
 
-def truncated_spectrum(config: ChannelConfig) -> WindowedShellSpectrum:
-    """The windowed receiver spectra of a truncated receiver."""
-    side = "inner" if config.bob.variant == "truncated_inner" else "outer"
-    return WindowedShellSpectrum(config.sigma, config.delta,
-                                 SmoothStep(config.bob.r0, config.bob.eps, side))
+class SpectralTerms:
+    """The coupling-free factors of the base amplitudes on one k array: the
+    emitter spectrum with 1/sqrt(2k) and e^{-ik Delta}, the full receiver's
+    F_B1..F_B3, and the side-free terms of each truncation window (r0, eps)
+    asked for, at most MAX_WINDOWS of them (least recently used dropped
+    first). Each is computed on first use and kept read-only; the couplings
+    enter only in `amplitudes`.
+    """
+
+    def __init__(self, sigma: float, d: int, delta: float, k):
+        self.sigma, self.d, self.delta = sigma, d, delta
+        self.k = _read_only(np.atleast_1d(np.asarray(k, dtype=float)))
+        self._windows: OrderedDict = OrderedDict()
+
+    @functools.cached_property
+    def emitter(self) -> tuple:
+        """(F_A(k), 1/sqrt(2k), e^{-ik Delta})."""
+        k = self.k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = (GaussianSpectrum(self.sigma, self.d)(k), 1.0 / np.sqrt(2.0 * k),
+                     np.exp(-1j * k * self.delta))
+        return tuple(_read_only(t) for t in terms)
+
+    @functools.cached_property
+    def full(self) -> np.ndarray:
+        """F_B1..F_B3 of the full receiver, shape (len(k), 3)."""
+        k = self.k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _read_only(np.stack(
+                [s(k) for s in bob_spectra(GaussianSpectrum(self.sigma, self.d), self.delta)],
+                axis=1))
+
+    def receiver(self, bob: BobSpec) -> np.ndarray:
+        """F_B1..F_B3 of the receiver bob, shape (len(k), 3); rank1 and none
+        share the full receiver's (their rows are dropped in amplitudes)."""
+        if not bob.variant.startswith("truncated"):
+            return self.full
+        with np.errstate(divide="ignore", invalid="ignore"):
+            window = _lru_get(self._windows, (bob.r0, bob.eps), MAX_WINDOWS, lambda: _ShellWindow(
+                self.sigma, self.delta, bob.r0, bob.eps, self.k))
+            sign = 1.0 if bob.variant == "truncated_inner" else -1.0
+            spectra = sign * window.inner
+            if (sign > 0) == (bob.r0 >= self.delta):
+                spectra += self.full
+            # R where its bound exceeds 1e-16 of this side's peak over k
+            peaks = np.max(np.abs(spectra), axis=0)
+            residual = 0.0 if np.all(window.residual_bound <= 1e-16 * peaks) \
+                else window.residual
+            return spectra + 0.5 * sign * residual
+
+    def amplitudes(self, config: ChannelConfig) -> np.ndarray:
+        """base_amplitudes(config, k) from these factors; config must share
+        sigma, d and Delta with them."""
+        k = self.k
+        lphi, lpi = config.lambda_phi, config.resolved_lambda_pi
+        f1, f2, f3 = self.receiver(config.bob).T
+        fa, inv_sqrt, phase = self.emitter
+        beta = np.empty((4, len(k)), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta[BASE_PHI_A] = lphi * fa * inv_sqrt
+            beta[BASE_PI_A] = -1j * k * lpi * fa * inv_sqrt
+            beta[BASE_X_B] = lpi * (f3 - 1j * k * f2) * phase * inv_sqrt
+            beta[BASE_Z_B] = lphi * (f2 - 1j * k * f1) * phase * inv_sqrt
+        beta[list(DROPPED_BASES.get(config.bob.variant, ())), :] = 0.0
+        beta[:, k == 0.0] = 0.0
+        return beta
 
 
 def base_amplitudes(config: ChannelConfig, k) -> np.ndarray:
@@ -288,37 +380,31 @@ def base_amplitudes(config: ChannelConfig, k) -> np.ndarray:
     X_B and Z_B take F_B1..F_B3 from bob_spectra, or from the closed-form
     windowed spectra for truncated receivers; for the full receiver they
     equal pi_A and phi_A pointwise (the propagation identity). rank1 and
-    none zero the rows of DROPPED_BASES.
+    none zero the rows of DROPPED_BASES. The formula is
+    SpectralTerms.amplitudes; the numeric overlap matrix applies it to the
+    memoised terms of its k grid.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    lphi, lpi, delta = config.lambda_phi, config.resolved_lambda_pi, config.delta
-    alice = GaussianSpectrum(config.sigma, config.d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if config.bob.variant.startswith("truncated"):
-            f1, f2, f3 = truncated_spectrum(config).all_orders(k).T
-        else:
-            f1, f2, f3 = (s(k) for s in bob_spectra(alice, delta))
-        fa = alice(k)
-        inv_sqrt = 1.0 / np.sqrt(2.0 * k)
-        phase = np.exp(-1j * k * delta)
-        beta = np.empty((4, len(k)), dtype=complex)
-        beta[BASE_PHI_A] = lphi * fa * inv_sqrt
-        beta[BASE_PI_A] = -1j * k * lpi * fa * inv_sqrt
-        beta[BASE_X_B] = lpi * (f3 - 1j * k * f2) * phase * inv_sqrt
-        beta[BASE_Z_B] = lphi * (f2 - 1j * k * f1) * phase * inv_sqrt
-    beta[list(DROPPED_BASES.get(config.bob.variant, ())), :] = 0.0
-    beta[:, k == 0.0] = 0.0
-    return beta
+    return SpectralTerms(config.sigma, config.d, config.delta, k).amplitudes(config)
+
+
+def _k_grid(sigma, d, delta, k_max, nodes) -> tuple[SpectralTerms, np.ndarray]:
+    """The composite Gauss-Legendre k grid of the numeric route (its
+    density scales with the oscillation rate) as SpectralTerms, with the
+    measure 4 pi k^2 dk."""
+    k_panel = min(0.5 / sigma, 1.5 * nodes / (delta + 9.0 * sigma))
+    kg, kw = gauss_legendre_panels(0.0, k_max, k_panel, nodes)
+    return SpectralTerms(sigma, d, delta, kg), _read_only(4.0 * np.pi * kg * kg * kw)
 
 
 def _v_base_numeric(config: ChannelConfig) -> np.ndarray:
-    """4x4 overlap matrix on a deterministic composite Gauss-Legendre k grid
-    (d = 3; its density scales with the oscillation rate; validated by a
-    doubling test). The truncated receivers take this route."""
-    k_panel = min(0.5 / config.sigma, 1.5 * K_NODES / (config.delta + 9.0 * config.sigma))
-    kg, kw = gauss_legendre_panels(0.0, config.resolved_k_max, k_panel, K_NODES)
-    beta = base_amplitudes(config, kg)
-    measure = 4.0 * np.pi * kg * kg * kw
+    """4x4 overlap matrix on a deterministic k grid (d = 3; validated by a
+    doubling test). The truncated receivers take this route. The grid and
+    its coupling-free terms are kept for the last MAX_GRIDS keys (sigma, d,
+    Delta, k_max, K_NODES), so the r0 points and couplings of a sweep share
+    them."""
+    key = (config.sigma, config.d, config.delta, config.resolved_k_max, K_NODES)
+    terms, measure = _lru_get(_K_GRIDS, key, MAX_GRIDS, lambda: _k_grid(*key))
+    beta = terms.amplitudes(config)
     return (beta * measure) @ beta.conj().T
 
 

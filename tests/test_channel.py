@@ -158,6 +158,8 @@ class TestRhoCB:
         v0 = channel.overlap_matrix(cfg)
         monkeypatch.setattr(channel, "K_NODES", 32)
         v2 = channel.overlap_matrix(cfg)
+        # the 32-node grid is a new one, not the memoised 16-node grid
+        assert not np.array_equal(v2, v0)
         assert np.max(np.abs(v2 - v0)) / np.max(np.abs(v0)) < 1e-12
 
     def test_windowed_spectra_match_adaptive_route(self):
@@ -165,7 +167,7 @@ class TestRhoCB:
         cfg = ChannelConfig(lambda_phi=10.0,
                             bob=BobSpec("truncated_outer", r0=9.0, eps=0.1))
         ks = np.array([0.5, 2.0, 7.7, 21.0, 55.0, 120.0, 190.0])
-        fast = channel.truncated_spectrum(cfg).all_orders(ks)
+        fast = windowed_spectra(cfg, ks)
         for i, prof in enumerate(windowed_profiles(cfg)):
             adaptive = smearing.NumericSpectrum(prof, rel_tol=1e-11)
             ref = adaptive(ks)
@@ -195,10 +197,54 @@ def test_numeric_route_matches_closed_form(lphi, variant):
     assert np.max(np.abs(numeric - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
+def truncated_configs(lphi, r0s=(4.0, 9.0, 16.0)):
+    return [ChannelConfig(lambda_phi=lphi, bob=BobSpec(f"truncated_{side}", r0=r0, eps=0.1))
+            for r0 in r0s for side in ("inner", "outer")]
+
+
+@pytest.mark.parametrize("order", ((10.0, 1000.0), (1000.0, 10.0)))
+def test_memoised_overlap_is_bitwise_cold(order):
+    # each V from an empty memo, against V with the grid and windows shared
+    # across r0, sides and couplings, as a broadcast sweep evaluates them
+    cold = {}
+    for lphi in order:
+        for cfg in truncated_configs(lphi):
+            channel._K_GRIDS.clear()
+            cold[cfg] = channel.overlap_matrix(cfg)
+    channel._K_GRIDS.clear()
+    for lphi in order:
+        for cfg in truncated_configs(lphi):
+            assert np.array_equal(channel.overlap_matrix(cfg), cold[cfg])
+    assert len(channel._K_GRIDS) == 1
+
+
+def test_memo_stays_bounded():
+    # 200 distinct windows (Delta, r0, eps), 70 of them on the first grid
+    channel._K_GRIDS.clear()
+    largest = 0
+    for i in range(200):
+        delta = 9.0 + i // 70
+        cfg = ChannelConfig(lambda_phi=10.0, delta=delta, bob=BobSpec(
+            "truncated_outer", r0=1.0 + 0.1 * (i % 70), eps=0.05 + 0.001 * i))
+        channel.overlap_matrix(cfg)
+        assert len(channel._K_GRIDS) <= channel.MAX_GRIDS
+        for terms, _ in channel._K_GRIDS.values():
+            assert len(terms._windows) <= channel.MAX_WINDOWS
+            largest = max(largest, len(terms._windows))
+    assert largest == channel.MAX_WINDOWS
+    channel._K_GRIDS.clear()
+
+
+def windowed_spectra(cfg, k):
+    """The closed-form F_B1..F_B3 of cfg's truncated receiver on k."""
+    return channel.SpectralTerms(cfg.sigma, cfg.d, cfg.delta, k).receiver(cfg.bob)
+
+
 def windowed_profiles(cfg):
     """The three receiver profiles times the truncation window, in r."""
-    return [smearing.WindowedProfile(p, channel.truncated_spectrum(cfg).window)
-            for p in bob_profiles_3d(cfg.sigma, cfg.delta)]
+    side = cfg.bob.variant.removeprefix("truncated_")
+    window = smearing.SmoothStep(cfg.bob.r0, cfg.bob.eps, side)
+    return [smearing.WindowedProfile(p, window) for p in bob_profiles_3d(cfg.sigma, cfg.delta)]
 
 
 # nodes per panel of the explicit r grid below
@@ -286,7 +332,7 @@ def test_windowed_spectra_match_direct_kernel(delta, r0, eps, side):
     if (delta, r0, eps) in KERNEL_ROUNDOFF or np.max(np.abs(ref)) <= 1e-25:
         k = np.array(MPMATH_K)
         ref = mp_windowed_spectra(delta, r0, eps, side, MPMATH_K)
-    assert_within_own_peak(channel.truncated_spectrum(cfg).all_orders(k), ref)
+    assert_within_own_peak(windowed_spectra(cfg, k), ref)
 
 
 @pytest.mark.parametrize("delta,r0,eps,side,ks", [
@@ -306,7 +352,7 @@ def test_windowed_spectra_match_mpmath(delta, r0, eps, side, ks):
     cfg = ChannelConfig(lambda_phi=10.0, delta=delta,
                         bob=BobSpec(f"truncated_{side}", r0=r0, eps=eps))
     ref = mp_windowed_spectra(delta, r0, eps, side, ks)
-    assert_within_own_peak(channel.truncated_spectrum(cfg).all_orders(np.array(ks)), ref)
+    assert_within_own_peak(windowed_spectra(cfg, np.array(ks)), ref)
 
 
 @given(st.floats(0.0, 30.0), st.floats(0.0, 1.0, exclude_min=True),

@@ -19,6 +19,9 @@ SPANS = ("channel.overlap_closed", "channel.overlap_truncated", "channel.assembl
 
 
 def test_every_layer_traced():
+    # a cold evaluation: a memoised k grid and window would skip the
+    # Gauss-Legendre rules
+    channel._K_GRIDS.clear()
     tracer = Tracer()
     tracer.attach()
     tracer.install()
