@@ -114,7 +114,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_io(p_sm, "output CSV path")
     _add_delta(p_sm)
     p_sm.add_argument("--rel-tol", type=float, default=1e-10,
-                      help="quadrature relative tolerance (d = 2)")
+                      help="node-doubling tolerance of the radial transform (d = 2)")
     p_sm.add_argument("--dimension", type=int, choices=(2, 3), default=3)
     p_sm.add_argument("--points", type=_positive_int, default=401)
     p_sm.add_argument("--normalize", action="store_true",

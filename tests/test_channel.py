@@ -1,7 +1,10 @@
 """Tests for the rho_CB assembly, sweeps and receiver variants."""
 
 import functools
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldchannel
 from fieldchannel import channel, qmath, smearing
 from fieldchannel.channel import BobSpec, ChannelConfig
 from fieldchannel.errors import BadParameter
@@ -233,6 +237,18 @@ def test_memo_stays_bounded():
             largest = max(largest, len(terms._windows))
     assert largest == channel.MAX_WINDOWS
     channel._K_GRIDS.clear()
+
+
+def test_full_receiver_sweep_does_not_import_scipy_integrate():
+    # scipy.integrate serves only the adaptive quadrature, which the
+    # closed-form full receiver never calls
+    code = ("import sys, fieldchannel; "
+            "fieldchannel.capacity_sweep([0.1, 10.0], fieldchannel.ChannelConfig(lambda_phi=1.0)); "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(fieldchannel.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def windowed_spectra(cfg, k):

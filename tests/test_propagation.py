@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from fieldchannel import propagation, smearing
 from fieldchannel.errors import BadParameter
@@ -98,6 +99,28 @@ class TestProfiles2D:
         assert np.all(np.isfinite(np.stack([fb1, fb2, fb3])))
         closed = propagation.bob_profile_2d_fb1(1.0, delta)(rs)
         assert np.max(np.abs(fb1 - closed)) <= 1e-10 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("delta", (9.42, 10.05, 17.5, 35.5))
+    def test_numeric_fb1_matches_closed_kernel(self, delta):
+        # on the smearings grid; per-point adaptive quadrature was off by
+        # 4.5e-9 of the peak at Delta = 17.5 and 2.0e-7 at 35.5
+        rs = np.linspace(0.0, delta + 10.0, 41)
+        fb1 = propagation.bob_profiles_2d_numeric(1.0, delta)[0](rs)
+        closed = propagation.bob_profile_2d_fb1(1.0, delta)(rs)
+        assert np.max(np.abs(fb1 - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+    def test_numeric_profiles_match_per_point_quadrature(self):
+        # every 20th radius of the default `smearings --dimension 2` grid:
+        # the fixed-rule transform against one adaptive QUADPACK integral
+        # of k F(k) J0(kr) per radius, with the envelope noise floor
+        rs = np.linspace(0.0, 20.0, 401)[::20]
+        spectra = propagation.bob_spectra(smearing.GaussianSpectrum(1.0, 2), 10.0)
+        for prof, spec in zip(propagation.bob_profiles_2d_numeric(1.0, 10.0), spectra):
+            floor = smearing.envelope_floor(lambda k: k * spec(k), spec.k_max)
+            ref = np.array([smearing.adaptive_quadrature(
+                lambda k: k * spec(k) * j0(k * r), 0.0, spec.k_max, abs_floor=floor)
+                for r in rs])
+            assert np.max(np.abs(prof(rs) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_delta_zero_reduces_to_emitter(self):
         profs = propagation.bob_profiles_2d_numeric(1.0, 0.0, rel_tol=1e-10)

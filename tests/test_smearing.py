@@ -87,6 +87,24 @@ class TestInverseFourierRadial:
         prof = smearing.NumericProfile(spec)
         assert prof(np.array([0.0, 1.0, 2.5])) == pytest.approx([0.0, 0.0, 0.0], abs=1e-13)
 
+    def test_doubling_cap_reported(self):
+        # the chirp cos(1e4 k^2) under the Gaussian needs about 3e4 panels
+        # on [0, 40]; the doubling stops at the cap of 4096
+        class Chirp(smearing.SpectralProfile):
+            d, k_max = 3, 40.0
+
+            def __call__(self, k):
+                return np.exp(-k * k / 4.0) * np.cos(1e4 * k * k)
+
+        with pytest.raises(QuadratureFailure):
+            smearing.NumericProfile(Chirp())(0.0)
+
+    def test_unbounded_range_rejected(self):
+        # a numeric profile has no finite support to transform back over
+        back = smearing.NumericProfile(smearing.GaussianSpectrum(1.0, 3))
+        with pytest.raises(BadParameter):
+            smearing.NumericSpectrum(back)(1.0)
+
 
 class TestAdaptiveQuadrature:
     def test_gaussian_tail(self):
